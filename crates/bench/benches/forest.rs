@@ -30,9 +30,19 @@ fn main() {
         || train_group_forest(&cells, &params).expect("trains"),
     );
     let (forest, data) = train_group_forest(&cells, &params).expect("trains");
+    let rows: Vec<usize> = (0..1000.min(data.len())).collect();
     group.bench("predict_1000_rows", || {
-        (0..1000.min(data.len()))
-            .map(|i| forest.predict(data.row(i)) as usize)
+        rows.iter()
+            .map(|&i| forest.predict(data.row(i)) as usize)
+            .sum::<usize>()
+    });
+    // The same rows through the batched kernel.
+    let batch = data.subset(&rows);
+    group.bench("predict_batch_1000_rows", || {
+        forest
+            .predict_batch(&batch)
+            .iter()
+            .map(|&l| l as usize)
             .sum::<usize>()
     });
     group.finish();

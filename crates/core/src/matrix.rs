@@ -19,7 +19,8 @@ use crate::activation::Activation;
 use crate::canonical::CanonicalCell;
 use crate::error::CoreError;
 use ca_defects::{BitRow, CaModel, DefectKind, DefectUniverse, GenerateOptions};
-use ca_ml::Dataset;
+use ca_ml::forest::PREDICT_BLOCK_ROWS;
+use ca_ml::{Classifier, Dataset};
 use ca_netlist::{Cell, Terminal};
 use ca_sim::{Injection, SimBudget, SimError};
 
@@ -206,19 +207,37 @@ impl PreparedCell {
     pub fn encode_row(&self, stimulus: usize, injection: Injection) -> Vec<f32> {
         let layout = self.layout();
         let mut row = vec![0.0f32; layout.num_features()];
+        let (head, tail) = row.split_at_mut(layout.defect_col(0, Terminal::Drain));
+        self.encode_stimulus(stimulus, head);
+        self.encode_defect(injection, tail);
+        row
+    }
+
+    /// Writes the stimulus columns of a row — inputs, golden output and
+    /// activities, every column before the first defect flag — into the
+    /// zeroed `out`.
+    fn encode_stimulus(&self, stimulus: usize, out: &mut [f32]) {
+        let layout = self.layout();
         let stim = &self.activation.stimuli()[stimulus];
         for (i, w) in stim.waves().iter().enumerate() {
-            row[layout.input_col(i)] = w.code() as f32;
+            out[layout.input_col(i)] = w.code() as f32;
         }
-        row[layout.output_col()] = self.activation.output_waves()[stimulus].code() as f32;
+        out[layout.output_col()] = self.activation.output_waves()[stimulus].code() as f32;
         for (tid, _) in self.cell.transistor_ids() {
             let k = self.canonical.position(tid);
-            row[layout.activity_col(k)] =
+            out[layout.activity_col(k)] =
                 self.activation.transistor_wave(stimulus, tid).code() as f32;
         }
+    }
+
+    /// Writes the defect columns of a row — flags and kind, every column
+    /// from the first defect flag on — into the zeroed `out`.
+    fn encode_defect(&self, injection: Injection, out: &mut [f32]) {
+        let layout = self.layout();
+        let base = layout.defect_col(0, Terminal::Drain);
         let mut flag = |tid: ca_netlist::TransistorId, term: Terminal| {
             let k = self.canonical.position(tid);
-            row[layout.defect_col(k, term)] = 1.0;
+            out[layout.defect_col(k, term) - base] = 1.0;
         };
         let kind_code = match injection {
             Injection::None => 0.0,
@@ -238,16 +257,14 @@ impl PreparedCell {
                 for (tid, t) in self.cell.transistor_ids() {
                     for term in Terminal::CHANNEL_AND_GATE {
                         if t.terminal(term) == a || t.terminal(term) == b {
-                            let k = self.canonical.position(tid);
-                            row[layout.defect_col(k, term)] = 1.0;
+                            flag(tid, term);
                         }
                     }
                 }
                 2.0
             }
         };
-        row[layout.kind_col()] = kind_code;
-        row
+        out[layout.kind_col() - base] = kind_code;
     }
 
     /// Builds the labelled training rows of this cell: one row per
@@ -261,35 +278,35 @@ impl PreparedCell {
             .model
             .as_ref()
             .expect("training_rows requires a characterized cell");
-        let n_stimuli = self.activation.stimuli().len();
-        for s in 0..n_stimuli {
-            out.push_row(&self.encode_row(s, Injection::None), 0);
-        }
-        for defect in self.universe.defects() {
-            for s in 0..n_stimuli {
-                let label = u32::from(model.detects(defect.id, s));
-                out.push_row(&self.encode_row(s, defect.injection), label);
-            }
-        }
+        let defects = self.universe.defects();
+        // Injection 0 is the defect-free one: its rows come first,
+        // labelled 0.
+        let injections =
+            std::iter::once(Injection::None).chain(defects.iter().map(|d| d.injection));
+        let encoder = RowEncoder::new(self, injections);
+        encoder.push_rows(0..encoder.len(), out, |d, s| match d.checked_sub(1) {
+            None => 0,
+            Some(d) => u32::from(model.detects(defects[d].id, s)),
+        });
     }
 
-    /// Predicts a full CA model using `predict` for each ⟨defect,
-    /// stimulus⟩ row.
-    pub fn predict_model(&self, mut predict: impl FnMut(&[f32]) -> bool) -> CaModel {
+    /// Predicts a full CA model with `classifier`: a ⟨defect, stimulus⟩
+    /// row is detected when it predicts class 1. The rows are encoded and
+    /// predicted in blocks of [`PREDICT_BLOCK_ROWS`], so memory grows with
+    /// the cell's stimuli plus its defects, not with their product.
+    pub fn predict_model(&self, classifier: &dyn Classifier) -> CaModel {
         let n_stimuli = self.activation.stimuli().len();
-        let rows: Vec<BitRow> = self
-            .universe
-            .defects()
-            .iter()
-            .map(|defect| {
-                let mut row = BitRow::zeros(n_stimuli);
-                for s in 0..n_stimuli {
-                    let features = self.encode_row(s, defect.injection);
-                    row.set(s, predict(&features));
-                }
-                row
-            })
-            .collect();
+        let encoder = RowEncoder::new(self, self.universe.defects().iter().map(|d| d.injection));
+        let mut rows = vec![BitRow::zeros(n_stimuli); self.universe.len()];
+        let mut block = Dataset::new(self.layout().num_features());
+        for first in (0..encoder.len()).step_by(PREDICT_BLOCK_ROWS) {
+            let end = (first + PREDICT_BLOCK_ROWS).min(encoder.len());
+            block.clear();
+            encoder.push_rows(first..end, &mut block, |_, _| 0);
+            for (r, label) in (first..end).zip(classifier.predict_batch(&block)) {
+                rows[r / n_stimuli].set(r % n_stimuli, label == 1);
+            }
+        }
         CaModel::from_rows(&self.cell, self.universe.clone(), rows)
     }
 
@@ -328,6 +345,70 @@ impl PreparedCell {
             .filter(|d| d.kind == DefectKind::Open)
             .count();
         (opens, self.universe.len() - opens)
+    }
+}
+
+/// Encodes the rows of a list of injections × every stimulus, injection
+/// by injection, from two tables computed once: the stimulus columns of
+/// each stimulus and the defect columns of each injection. A row is one
+/// entry of each, side by side, because the layout puts every stimulus
+/// column before the first defect flag.
+struct RowEncoder {
+    /// Stimulus columns per row.
+    split: usize,
+    /// Defect columns per row.
+    width: usize,
+    n_stimuli: usize,
+    stimuli: Vec<f32>,
+    defects: Vec<f32>,
+}
+
+impl RowEncoder {
+    fn new(cell: &PreparedCell, injections: impl Iterator<Item = Injection>) -> RowEncoder {
+        let layout = cell.layout();
+        let split = layout.defect_col(0, Terminal::Drain);
+        let width = layout.num_features() - split;
+        let n_stimuli = cell.activation.stimuli().len();
+        let mut stimuli = vec![0.0f32; n_stimuli * split];
+        for (s, cols) in stimuli.chunks_exact_mut(split).enumerate() {
+            cell.encode_stimulus(s, cols);
+        }
+        let mut defects = Vec::new();
+        for injection in injections {
+            let at = defects.len();
+            defects.resize(at + width, 0.0);
+            cell.encode_defect(injection, &mut defects[at..]);
+        }
+        RowEncoder {
+            split,
+            width,
+            n_stimuli,
+            stimuli,
+            defects,
+        }
+    }
+
+    /// Number of rows: injections × stimuli.
+    fn len(&self) -> usize {
+        self.defects.len() / self.width * self.n_stimuli
+    }
+
+    /// Appends rows `rows` (row `r` is injection `r / n_stimuli`, stimulus
+    /// `r % n_stimuli`) to `out`, labelled `label(injection, stimulus)`.
+    fn push_rows(
+        &self,
+        rows: std::ops::Range<usize>,
+        out: &mut Dataset,
+        mut label: impl FnMut(usize, usize) -> u32,
+    ) {
+        let (split, width) = (self.split, self.width);
+        let mut row = vec![0.0f32; split + width];
+        for r in rows {
+            let (d, s) = (r / self.n_stimuli, r % self.n_stimuli);
+            row[..split].copy_from_slice(&self.stimuli[s * split..(s + 1) * split]);
+            row[split..].copy_from_slice(&self.defects[d * width..(d + 1) * width]);
+            out.push_row(&row, label(d, s));
+        }
     }
 }
 
@@ -431,6 +512,41 @@ MN11 net0 B VSS VSS nch
     }
 
     #[test]
+    fn training_rows_match_per_row_encoding() {
+        let p = prepared();
+        let truth = p.model.as_ref().unwrap();
+        let mut reference = Dataset::new(p.layout().num_features());
+        for s in 0..16 {
+            reference.push_row(&p.encode_row(s, Injection::None), 0);
+        }
+        for d in p.universe.defects() {
+            for s in 0..16 {
+                let label = u32::from(truth.detects(d.id, s));
+                reference.push_row(&p.encode_row(s, d.injection), label);
+            }
+        }
+        let mut data = Dataset::new(p.layout().num_features());
+        p.training_rows(&mut data);
+        assert_eq!(data, reference);
+    }
+
+    /// Answers the rows in the order they are asked, from a script.
+    struct Oracle {
+        answers: Vec<bool>,
+        next: std::cell::Cell<usize>,
+    }
+
+    impl Classifier for Oracle {
+        fn fit(&mut self, _: &Dataset) {}
+
+        fn predict(&self, _: &[f32]) -> u32 {
+            let i = self.next.get();
+            self.next.set(i + 1);
+            u32::from(self.answers[i])
+        }
+    }
+
+    #[test]
     fn perfect_oracle_reproduces_ground_truth() {
         let p = prepared();
         let truth = p.model.clone().unwrap();
@@ -443,12 +559,11 @@ MN11 net0 B VSS VSS nch
                 cursor.push(truth.detects(d.id, s));
             }
         }
-        let mut i = 0;
-        let predicted = p.predict_model(|_| {
-            let v = cursor[i];
-            i += 1;
-            v
-        });
+        let oracle = Oracle {
+            answers: cursor,
+            next: std::cell::Cell::new(0),
+        };
+        let predicted = p.predict_model(&oracle);
         assert!((p.accuracy_of(&predicted) - 1.0).abs() < 1e-12);
         assert_eq!(predicted.classes.len(), truth.classes.len());
     }

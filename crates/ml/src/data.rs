@@ -52,6 +52,12 @@ impl Dataset {
         self.labels.push(label);
     }
 
+    /// Removes every row, keeping the allocation for reuse.
+    pub fn clear(&mut self) {
+        self.features.clear();
+        self.labels.clear();
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.labels.len()

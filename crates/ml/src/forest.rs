@@ -103,16 +103,74 @@ impl RandomForest {
     pub fn predict_proba(&self, row: &[f32]) -> Vec<f64> {
         assert!(!self.trees.is_empty(), "predict before fit");
         ca_obs::counter!("ca_ml.predict.rows", Work).inc();
-        let mut votes = vec![0usize; self.num_classes.max(1)];
+        let total = self.trees.len() as f64;
+        self.votes(row)
+            .iter()
+            .map(|&v| f64::from(v) / total)
+            .collect()
+    }
+
+    /// Per-class vote counts of every tree for `row`.
+    fn votes(&self, row: &[f32]) -> Vec<u32> {
+        let mut votes = vec![0u32; self.num_classes.max(1)];
         for tree in &self.trees {
-            let label = tree.predict(row) as usize;
-            if label < votes.len() {
-                votes[label] += 1;
+            if let Some(v) = votes.get_mut(tree.leaf_label(row) as usize) {
+                *v += 1;
             }
         }
-        let total = self.trees.len() as f64;
-        votes.iter().map(|&v| v as f64 / total).collect()
+        votes
     }
+
+    /// The batched kernel behind [`Classifier::predict_batch`]: votes the
+    /// rows `first..first + len` of `data` tree by tree, so each tree's
+    /// nodes stay in cache while it walks the block. A row leaves the
+    /// walk once the trees left can no longer change its winner (see
+    /// [`decided`]), so its prediction equals [`Classifier::predict`]'s.
+    fn predict_block(&self, data: &Dataset, first: usize, len: usize, out: &mut Vec<u32>) {
+        let k = self.num_classes.max(1);
+        let mut votes = vec![0u32; len * k];
+        let mut open: Vec<usize> = (0..len).collect();
+        for (t, tree) in self.trees.iter().enumerate() {
+            let remaining = self.trees.len() - t - 1;
+            open.retain(|&i| {
+                let tally = &mut votes[i * k..(i + 1) * k];
+                if let Some(v) = tally.get_mut(tree.leaf_label(data.row(first + i)) as usize) {
+                    *v += 1;
+                }
+                !decided(tally, remaining)
+            });
+            if open.is_empty() {
+                break;
+            }
+        }
+        out.extend(votes.chunks_exact(k).map(|tally| winner(tally) as u32));
+    }
+}
+
+/// Rows per block of [`RandomForest`]'s batched prediction kernel: the
+/// block's rows and vote tallies stay in cache while each tree walks it.
+pub const PREDICT_BLOCK_ROWS: usize = 4096;
+
+/// The winning class of a vote tally: the most votes, and of tied
+/// classes the highest index.
+fn winner(tally: &[u32]) -> usize {
+    tally
+        .iter()
+        .enumerate()
+        .max_by_key(|&(_, &v)| v)
+        .map_or(0, |(c, _)| c)
+}
+
+/// Whether `remaining` more votes can no longer change `winner(tally)`:
+/// even if they all went to one other class, it would stay behind — a
+/// higher class strictly, since it would take a tie.
+fn decided(tally: &[u32], remaining: usize) -> bool {
+    let lead = winner(tally);
+    let lead_votes = tally[lead] as usize;
+    tally.iter().enumerate().all(|(c, &v)| {
+        let reach = v as usize + remaining;
+        c == lead || (c < lead && reach <= lead_votes) || reach < lead_votes
+    })
 }
 
 impl RandomForest {
@@ -177,14 +235,29 @@ impl Classifier for RandomForest {
         self.fit_with(data, &ca_exec::Executor::from_env());
     }
 
+    /// The class with the most tree votes. A tie goes to the highest
+    /// class index, so for CA-matrix rows (class 1 = detected) a tied
+    /// vote predicts "detected".
     fn predict(&self, row: &[f32]) -> u32 {
-        let proba = self.predict_proba(row);
-        proba
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i as u32)
-            .unwrap_or(0)
+        assert!(!self.trees.is_empty(), "predict before fit");
+        ca_obs::counter!("ca_ml.predict.rows", Work).inc();
+        winner(&self.votes(row)) as u32
+    }
+
+    /// Equal to [`Classifier::predict`] on every row, through the
+    /// batched kernel, one block of [`PREDICT_BLOCK_ROWS`] rows at a time.
+    fn predict_batch(&self, data: &Dataset) -> Vec<u32> {
+        let mut out = Vec::with_capacity(data.len());
+        if data.is_empty() {
+            return out;
+        }
+        assert!(!self.trees.is_empty(), "predict before fit");
+        ca_obs::counter!("ca_ml.predict.rows", Work).add(data.len() as u64);
+        for first in (0..data.len()).step_by(PREDICT_BLOCK_ROWS) {
+            let len = PREDICT_BLOCK_ROWS.min(data.len() - first);
+            self.predict_block(data, first, len, &mut out);
+        }
+        out
     }
 }
 
@@ -276,6 +349,42 @@ mod tests {
                 parallel.predict_proba(data.row(i)),
                 "row {i}"
             );
+        }
+    }
+
+    /// A forest whose trees are single leaves voting `votes[i]`.
+    fn fixed_vote_forest(votes: &[u32]) -> RandomForest {
+        let leaf = |label: u32| {
+            let mut d = Dataset::new(1);
+            d.push_row(&[0.0], label);
+            let mut tree = DecisionTree::new(TreeParams::default());
+            tree.fit(&d);
+            tree
+        };
+        RandomForest {
+            params: ForestParams::quick(),
+            trees: votes.iter().map(|&l| leaf(l)).collect(),
+            num_classes: 2,
+        }
+    }
+
+    #[test]
+    fn tied_vote_goes_to_the_highest_class() {
+        let mut batch = Dataset::new(1);
+        batch.push_row(&[0.0], 0);
+        for (zeros, ones, want) in [(20, 20, 1), (21, 19, 0), (19, 21, 1)] {
+            // Both orders: the early exit must not decide a tie too soon.
+            for zeros_first in [true, false] {
+                let mut votes = [vec![0; zeros], vec![1; ones]].concat();
+                if !zeros_first {
+                    votes.reverse();
+                }
+                let forest = fixed_vote_forest(&votes);
+                let p = forest.predict_proba(&[0.0]);
+                assert_eq!(p[0] * 40.0, zeros as f64);
+                assert_eq!(forest.predict(&[0.0]), want, "{zeros}-{ones}");
+                assert_eq!(forest.predict_batch(&batch), vec![want], "{zeros}-{ones}");
+            }
         }
     }
 

@@ -35,17 +35,30 @@ impl Default for TreeParams {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Node {
-    Leaf {
-        label: u32,
-    },
-    Split {
-        feature: usize,
-        threshold: f32,
-        left: usize,
-        right: usize,
-    },
+/// `Node::feature` of a leaf.
+const LEAF: u32 = u32::MAX;
+
+/// One 12-byte node of a trained tree, stored flat in
+/// `DecisionTree::nodes` (the root at index 0). A split sends a row to
+/// `nodes[next]` when `row[feature] <= threshold` and to `nodes[next + 1]`
+/// otherwise, so a NaN feature goes right; `build` allocates the two
+/// children of a split as an adjacent pair. A leaf has `feature == LEAF`
+/// and carries its class label in `next`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Node {
+    threshold: f32,
+    feature: u32,
+    next: u32,
+}
+
+impl Node {
+    fn leaf(label: u32) -> Node {
+        Node {
+            threshold: 0.0,
+            feature: LEAF,
+            next: label,
+        }
+    }
 }
 
 /// A trained CART decision tree classifier.
@@ -86,9 +99,12 @@ impl DecisionTree {
     /// Depth of the trained tree.
     pub fn depth(&self) -> usize {
         fn rec(nodes: &[Node], i: usize) -> usize {
-            match nodes[i] {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => 1 + rec(nodes, left).max(rec(nodes, right)),
+            let node = nodes[i];
+            if node.feature == LEAF {
+                0
+            } else {
+                let left = node.next as usize;
+                1 + rec(nodes, left).max(rec(nodes, left + 1))
             }
         }
         if self.nodes.is_empty() {
@@ -98,7 +114,8 @@ impl DecisionTree {
         }
     }
 
-    fn build(&mut self, data: &Dataset, indices: &mut [usize], depth: usize) -> usize {
+    /// Grows the subtree of `indices` into the already reserved slot `id`.
+    fn build(&mut self, data: &Dataset, indices: &mut [usize], depth: usize, id: usize) {
         let counts = class_counts(data, indices, self.num_classes);
         let majority = argmax(&counts);
         let node_gini = gini(&counts, indices.len());
@@ -126,24 +143,24 @@ impl DecisionTree {
                         + (indices.len() - mid) as f64 * gini(&right_counts, indices.len() - mid))
                         / n;
                     self.importance[feature] += n * (node_gini - child).max(0.0);
-                    let id = self.nodes.len();
-                    self.nodes.push(Node::Leaf { label: majority }); // placeholder
+                    let left = self.nodes.len();
+                    self.nodes.extend([Node::leaf(majority); 2]); // placeholders
                     let (left_idx, right_idx) = indices.split_at_mut(mid);
-                    let left = self.build(data, left_idx, depth + 1);
-                    let right = self.build(data, right_idx, depth + 1);
-                    self.nodes[id] = Node::Split {
-                        feature,
+                    self.build(data, left_idx, depth + 1, left);
+                    self.build(data, right_idx, depth + 1, left + 1);
+                    self.nodes[id] = Node {
                         threshold,
-                        left,
-                        right,
+                        feature: u32::try_from(feature)
+                            .ok()
+                            .filter(|&f| f != LEAF)
+                            .expect("feature index below u32::MAX"),
+                        next: u32::try_from(left).expect("node index fits in u32"),
                     };
-                    return id;
+                    return;
                 }
             }
         }
-        let id = self.nodes.len();
-        self.nodes.push(Node::Leaf { label: majority });
-        id
+        self.nodes[id] = Node::leaf(majority);
     }
 
     /// Finds the impurity-minimizing `(feature, threshold)` over the
@@ -167,7 +184,6 @@ impl DecisionTree {
             features.swap(i, j);
         }
         let mut best: Option<(f64, usize, f32)> = None;
-        let n = indices.len() as f64;
         for &feature in &features[..k] {
             if let Some((threshold, score)) =
                 best_threshold(data, indices, feature, total_counts, self.num_classes)
@@ -180,30 +196,19 @@ impl DecisionTree {
                     best = Some((score, feature, threshold));
                 }
             }
-            let _ = n;
         }
         best.map(|(_, f, t)| (f, t))
     }
 
-    fn predict_one(&self, row: &[f32]) -> u32 {
-        let mut i = 0;
-        loop {
-            match self.nodes[i] {
-                Node::Leaf { label } => return label,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    i = if row[feature] <= threshold {
-                        left
-                    } else {
-                        right
-                    };
-                }
-            }
+    /// The label of the leaf `row` lands in.
+    pub(crate) fn leaf_label(&self, row: &[f32]) -> u32 {
+        let nodes = self.nodes.as_slice();
+        let mut node = nodes[0];
+        while node.feature != LEAF {
+            let left = row[node.feature as usize] <= node.threshold;
+            node = nodes[node.next as usize + usize::from(!left)];
         }
+        node.next
     }
 }
 
@@ -214,7 +219,8 @@ impl Classifier for DecisionTree {
         self.nodes.clear();
         self.importance = vec![0.0; data.num_features()];
         let mut indices: Vec<usize> = (0..data.len()).collect();
-        self.build(data, &mut indices, 0);
+        self.nodes.push(Node::leaf(0)); // the root's slot
+        self.build(data, &mut indices, 0, 0);
         let total: f64 = self.importance.iter().sum();
         if total > 0.0 {
             for v in &mut self.importance {
@@ -225,7 +231,7 @@ impl Classifier for DecisionTree {
 
     fn predict(&self, row: &[f32]) -> u32 {
         assert!(!self.nodes.is_empty(), "predict before fit");
-        self.predict_one(row)
+        self.leaf_label(row)
     }
 }
 
@@ -330,7 +336,6 @@ fn counting_threshold(
             best = Some((threshold, score));
         }
     }
-    let _ = total_counts;
     best
 }
 
@@ -367,7 +372,6 @@ fn sorting_threshold(
             best = Some((threshold, score));
         }
     }
-    let _ = total_counts;
     best
 }
 
@@ -445,6 +449,20 @@ mod tests {
         tree.fit(&d);
         assert_eq!(tree.predict(&[0.1]), 0);
         assert_eq!(tree.predict(&[6.9]), 1);
+    }
+
+    #[test]
+    fn nan_feature_goes_right_as_in_the_fit_partition() {
+        let mut d = Dataset::new(1);
+        for (v, label) in [(0.0, 0), (0.0, 0), (1.0, 1), (1.0, 1)] {
+            d.push_row(&[v], label);
+        }
+        let mut tree = DecisionTree::new(TreeParams::default());
+        tree.fit(&d);
+        // `NaN <= threshold` is false, so NaN takes the right branch.
+        assert_eq!(tree.predict(&[f32::NAN]), 1);
+        assert_eq!(tree.predict(&[f32::NEG_INFINITY]), 0);
+        assert_eq!(tree.predict(&[f32::INFINITY]), 1);
     }
 
     #[test]

@@ -29,6 +29,18 @@ CA_THREADS=1 cargo test -q --test packed_equivalence --offline
 echo "==> packed equivalence (packed vs scalar, CA_THREADS=4)"
 CA_THREADS=4 cargo test -q --test packed_equivalence --offline
 
+# Batched forest inference is only allowed to exist because it predicts
+# exactly what per-row prediction does (DESIGN.md §16). Run both
+# differential suites optimized, as the ML route runs, at both thread
+# counts.
+echo "==> forest inference (batched vs per-row, release, CA_THREADS=1)"
+CA_THREADS=1 cargo test -q --release --offline -p ca-ml --test forest_inference
+CA_THREADS=1 cargo test -q --release --offline -p ca-core --test ml_inference
+
+echo "==> forest inference (batched vs per-row, release, CA_THREADS=4)"
+CA_THREADS=4 cargo test -q --release --offline -p ca-ml --test forest_inference
+CA_THREADS=4 cargo test -q --release --offline -p ca-core --test ml_inference
+
 echo "==> cargo test (offline, CA_PACKED=0 scalar path)"
 CA_PACKED=0 cargo test -q --workspace --offline
 
