@@ -6,19 +6,23 @@
 //! structurally identical cells, exactly the redundancy the cache is
 //! built to exploit. The serial baseline runs the plain per-cell
 //! conventional flow (one thread, no cache); the engine runs
-//! [`characterize_library_with`] on the `CA_THREADS` executor with a
-//! shared [`CharCache`]. Both outputs are compared bit for bit before
-//! any number is reported.
+//! [`characterize_library_robust_with`] under [`FaultPolicy::FailFast`]
+//! and an unlimited budget on the `CA_THREADS` executor with a shared
+//! [`CharCache`]. Both outputs are compared bit for bit before any number
+//! is reported.
 
 // Benchmark results feed BENCH_parallel.json; a stray unwrap would
 // abort the run instead of reporting the failure.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::corpus::Profile;
-use ca_core::{characterize_library_with, CacheStats, CharCache, Executor, PreparedCell};
+use ca_core::{
+    characterize_library_robust_with, CacheStats, CharCache, Executor, FaultPolicy, PreparedCell,
+};
 use ca_defects::GenerateOptions;
 use ca_netlist::library::{generate_library, Library, LibraryConfig};
 use ca_netlist::Technology;
+use ca_sim::SimBudget;
 use std::time::Instant;
 
 /// Measured numbers of one benchmark run.
@@ -148,9 +152,15 @@ pub fn run(profile: Profile) -> ParallelBench {
     let executor = Executor::from_env();
     let cache = CharCache::new();
     let parallel_start = Instant::now();
-    let (prepared, _summary) = match characterize_library_with(&library, options, &executor, &cache)
-    {
-        Ok(out) => out,
+    let prepared = match characterize_library_robust_with(
+        &library,
+        options,
+        &SimBudget::unlimited(),
+        FaultPolicy::FailFast,
+        &executor,
+        &cache,
+    ) {
+        Ok(outcome) => outcome.prepared,
         Err(e) => panic!("engine characterization failed: {e}"),
     };
     let parallel_s = parallel_start.elapsed().as_secs_f64();

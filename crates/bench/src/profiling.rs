@@ -73,7 +73,7 @@ fn max_cells(profile: Profile) -> usize {
 }
 
 /// The profiled workload: the benchmark variant library truncated to
-/// [`max_cells`], with one cell's output floated so the quarantine
+/// `max_cells`, with one cell's output floated so the quarantine
 /// path runs.
 pub fn workload_library(profile: Profile) -> Library {
     let mut library = crate::perf::bench_library(profile);

@@ -19,7 +19,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::corpus::Profile;
-use ca_core::{characterize_library_robust, export_cam_with, FaultPolicy};
+use ca_core::{characterize_library_robust_with, export_cam_with, CharCache, FaultPolicy};
 use ca_defects::GenerateOptions;
 use ca_exec::Executor;
 use ca_netlist::library::{generate_library, Library};
@@ -184,11 +184,13 @@ pub fn run(profile: Profile) -> ServeBench {
         .unwrap_or_else(|e| panic!("cannot create {}: {e}", work_dir.display()));
 
     // Batch golden: the robust driver, no server, no deadlines.
-    let golden_outcome = characterize_library_robust(
+    let golden_outcome = characterize_library_robust_with(
         &library,
         GenerateOptions::default(),
         &SimBudget::unlimited(),
         FaultPolicy::SkipAndReport,
+        &Executor::from_env(),
+        &CharCache::new(),
     )
     .unwrap_or_else(|e| panic!("golden run failed: {e}"));
     let golden: Arc<BTreeMap<String, String>> = Arc::new(

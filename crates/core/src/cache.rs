@@ -281,44 +281,11 @@ impl CharCache {
         options: GenerateOptions,
     ) -> Result<PreparedCell, CoreError> {
         let mut prepared = PreparedCell::prepare(cell)?;
-        let Some(key) = CacheKey::for_canonical(&prepared.canonical, options) else {
-            self.note_bypassed();
-            prepared.model = Some(CaModel::generate(&prepared.cell, options));
-            return Ok(prepared);
-        };
-        match self.claim(key) {
-            Claim::Leader(slot) => {
-                let mut guard = LeaderGuard {
-                    slot: &slot,
-                    armed: true,
-                };
-                let model = CaModel::generate(&prepared.cell, options);
-                if !model.degraded {
-                    guard.armed = false;
-                    slot.publish(Some(Arc::new(Donor {
-                        cell: prepared.cell.clone(),
-                        canonical: prepared.canonical.clone(),
-                        model: model.clone(),
-                    })));
-                }
-                self.note_miss();
-                prepared.model = Some(model);
-                Ok(prepared)
-            }
-            Claim::Follower(slot) => {
-                if let Some(donor) = slot.wait() {
-                    if let Some(model) = remap_model(&donor, &prepared, options) {
-                        self.note_hit();
-                        prepared.model = Some(model);
-                        return Ok(prepared);
-                    }
-                    self.note_rejected();
-                }
-                self.note_miss();
-                prepared.model = Some(CaModel::generate(&prepared.cell, options));
-                Ok(prepared)
-            }
-        }
+        let model = self.resolve(&prepared, options, |cell| {
+            Ok(CaModel::generate(cell, options))
+        })?;
+        prepared.model = Some(model);
+        Ok(prepared)
     }
 
     /// Budget-aware variant used by the robust driver. The cache only
@@ -336,57 +303,71 @@ impl CharCache {
         options: GenerateOptions,
         budget: &SimBudget,
     ) -> Result<PreparedCell, CoreError> {
-        if budget.max_stimuli.is_some()
-            || budget.max_defects.is_some()
-            || budget.max_solver_iterations.is_some()
-        {
+        if truncating(budget) {
             self.note_bypassed();
             return PreparedCell::characterize_budgeted(cell, options, budget);
         }
-        let prepared = match PreparedCell::prepare(cell.clone()) {
+        let mut prepared = match PreparedCell::prepare(cell.clone()) {
             Ok(p) => p,
             // Preserve the budgeted path's error precedence (it generates
             // before preparing): re-run it cold so e.g. a wall-clock
             // expiry surfaces ahead of a multi-output rejection.
             Err(_) => return PreparedCell::characterize_budgeted(cell, options, budget),
         };
+        let model = self.resolve(&prepared, options, |cell| {
+            CaModel::generate_budgeted(cell, options, budget)
+                .map_err(|e| CoreError::from_sim(cell.name(), e))
+        })?;
+        // The budgeted flow aligns the universe with the model's.
+        prepared.universe = model.universe.clone();
+        prepared.model = Some(model);
+        Ok(prepared)
+    }
+
+    /// The leader/follower body both public methods share, returning
+    /// `prepared`'s model. Netlist-ordered canonicals bypass the cache;
+    /// otherwise a leader runs `generate` and publishes a non-degraded
+    /// model as the donor, and a follower remaps the donor's model — or,
+    /// when the leader failed or certification rejects the donor, runs
+    /// `generate` itself.
+    fn resolve(
+        &self,
+        prepared: &PreparedCell,
+        options: GenerateOptions,
+        generate: impl FnOnce(&Cell) -> Result<CaModel, CoreError>,
+    ) -> Result<CaModel, CoreError> {
         let Some(key) = CacheKey::for_canonical(&prepared.canonical, options) else {
             self.note_bypassed();
-            return PreparedCell::characterize_budgeted(cell, options, budget);
+            return generate(&prepared.cell);
         };
-        let mut prepared = prepared;
         match self.claim(key) {
             Claim::Leader(slot) => {
                 let mut guard = LeaderGuard {
                     slot: &slot,
                     armed: true,
                 };
-                let result = PreparedCell::characterize_budgeted(cell, options, budget);
-                if let Ok(p) = &result {
-                    if let Some(model) = p.model.as_ref().filter(|m| !m.degraded) {
-                        guard.armed = false;
-                        slot.publish(Some(Arc::new(Donor {
-                            cell: p.cell.clone(),
-                            canonical: p.canonical.clone(),
-                            model: model.clone(),
-                        })));
-                    }
+                let result = generate(&prepared.cell);
+                if let Some(model) = result.as_ref().ok().filter(|m| !m.degraded) {
+                    guard.armed = false;
+                    slot.publish(Some(Arc::new(Donor {
+                        cell: prepared.cell.clone(),
+                        canonical: prepared.canonical.clone(),
+                        model: model.clone(),
+                    })));
                 }
                 self.note_miss();
                 result
             }
             Claim::Follower(slot) => {
                 if let Some(donor) = slot.wait() {
-                    if let Some(model) = remap_model(&donor, &prepared, options) {
+                    if let Some(model) = remap_model(&donor, prepared, options) {
                         self.note_hit();
-                        prepared.universe = model.universe.clone();
-                        prepared.model = Some(model);
-                        return Ok(prepared);
+                        return Ok(model);
                     }
                     self.note_rejected();
                 }
                 self.note_miss();
-                PreparedCell::characterize_budgeted(cell, options, budget)
+                generate(&prepared.cell)
             }
         }
     }
@@ -463,6 +444,14 @@ impl CharCache {
         })));
         lock_recover(&self.slots).insert(key, slot);
     }
+}
+
+/// Whether `budget` carries result-truncating caps (anything but a pure
+/// wall clock): such a run's model may differ from an unbudgeted one.
+pub(crate) fn truncating(budget: &SimBudget) -> bool {
+    budget.max_stimuli.is_some()
+        || budget.max_defects.is_some()
+        || budget.max_solver_iterations.is_some()
 }
 
 // ---------------------------------------------------------------------
@@ -872,21 +861,29 @@ MN1 Z B VSS VSS nch
 
     #[test]
     fn inter_transistor_shorts_remap_through_the_net_bijection() {
-        let cache = CharCache::new();
         let opts = GenerateOptions {
             inter_transistor: true,
             ..GenerateOptions::default()
         };
-        cache
-            .characterize(spice::parse_cell(NAND2).unwrap(), opts)
-            .unwrap();
-        let remapped = cache
-            .characterize(spice::parse_cell(NAND2_SHUFFLED).unwrap(), opts)
-            .unwrap();
-        assert_eq!(cache.stats().hits, 1, "{:?}", cache.stats());
-        let cold =
-            PreparedCell::characterize(spice::parse_cell(NAND2_SHUFFLED).unwrap(), opts).unwrap();
-        assert_eq!(remapped.model, cold.model);
+        let budget = SimBudget::unlimited();
+        let (plain, budgeted) = (CharCache::new(), CharCache::new());
+        // Leader, then a follower served by remap: both equal a cold run.
+        for (src, hits) in [(NAND2, 0), (NAND2_SHUFFLED, 1)] {
+            let cell = || spice::parse_cell(src).unwrap();
+            let served = plain.characterize(cell(), opts).unwrap();
+            assert_eq!(plain.stats().hits, hits, "{:?}", plain.stats());
+            let cold = PreparedCell::characterize(cell(), opts).unwrap();
+            assert_eq!(served.model, cold.model);
+            // The budgeted path also aligns the universe with the model's,
+            // which carries the inter-transistor shorts.
+            let served = budgeted
+                .characterize_budgeted(cell(), opts, &budget)
+                .unwrap();
+            assert_eq!(budgeted.stats().hits, hits, "{:?}", budgeted.stats());
+            let cold = PreparedCell::characterize_budgeted(cell(), opts, &budget).unwrap();
+            assert_eq!(served.model, cold.model);
+            assert_eq!(served.universe, cold.universe);
+        }
     }
 
     #[test]

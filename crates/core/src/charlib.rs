@@ -1,22 +1,17 @@
-//! Library-level characterization driver.
+//! Library-level results: summary statistics over a characterized
+//! library and `.cam` export.
 //!
-//! Wraps the per-cell flows into the batch operation an EDA user actually
-//! runs: characterize (or predict) a whole standard-cell library, collect
-//! summary statistics, and export the models as `.cam` documents.
+//! The library drivers themselves live in [`robust`](crate::robust);
+//! this module turns their output into what an EDA user consumes.
 
 // Library-batch code runs unattended for hours; a stray unwrap here
 // aborts a whole characterization run.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::cache::CharCache;
 use crate::cost::CostModel;
 use crate::error::CoreError;
 use crate::matrix::PreparedCell;
-use crate::session::{Reuse, Session};
-use ca_defects::{to_cam, Behavior, GenerateOptions};
-use ca_exec::Executor;
-use ca_netlist::library::Library;
-use ca_sim::SimBudget;
+use ca_defects::{to_cam, Behavior};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -38,7 +33,9 @@ pub struct LibrarySummary {
     pub mean_coverage: f64,
     /// Cells whose model was produced under a reduced budget.
     pub degraded: usize,
-    /// Cells a robust run quarantined (0 for plain characterization).
+    /// Cells the run quarantined (filled in by
+    /// [`RobustOutcome::summary`](crate::RobustOutcome::summary); 0 from
+    /// [`summarize`], which only sees the characterized cells).
     pub quarantined: usize,
     /// Estimated single-license SPICE time for the same work, seconds
     /// (from the calibrated cost model).
@@ -84,100 +81,6 @@ impl LibrarySummary {
         }
         out
     }
-}
-
-/// Characterizes every cell of `library` with the conventional flow,
-/// using the [`CA_THREADS`](Executor::from_env)-sized executor and a
-/// fresh structure-keyed [`CharCache`].
-///
-/// # Errors
-///
-/// Propagates the first (in library order) invalid-netlist error.
-pub fn characterize_library(
-    library: &Library,
-    options: GenerateOptions,
-) -> Result<(Vec<PreparedCell>, LibrarySummary), CoreError> {
-    characterize_library_with(library, options, &Executor::from_env(), &CharCache::new())
-}
-
-/// [`characterize_library`] with explicit executor and cache, for callers
-/// that pin the thread count or reuse a cache across batches.
-///
-/// Results are in library order regardless of scheduling; on failure the
-/// error of the *first* failing cell in library order is returned, so the
-/// outcome is identical at every thread count.
-///
-/// # Errors
-///
-/// Propagates the first (in library order) invalid-netlist error.
-pub fn characterize_library_with(
-    library: &Library,
-    options: GenerateOptions,
-    executor: &Executor,
-    cache: &CharCache,
-) -> Result<(Vec<PreparedCell>, LibrarySummary), CoreError> {
-    charlib_driver(library, options, executor, cache, None)
-}
-
-/// [`characterize_library_with`] bound to a durable [`Session`]: cells
-/// journaled by a previous (possibly killed) run are verified against the
-/// incoming library and served from the on-disk store instead of being
-/// re-simulated, and every freshly characterized cell is journaled as it
-/// lands. A run interrupted at any point can be re-invoked with the same
-/// arguments and converges to byte-identical models.
-///
-/// # Errors
-///
-/// Propagates the first (in library order) invalid-netlist error.
-pub fn characterize_library_with_session(
-    library: &Library,
-    options: GenerateOptions,
-    executor: &Executor,
-    cache: &CharCache,
-    session: &Session,
-) -> Result<(Vec<PreparedCell>, LibrarySummary), CoreError> {
-    charlib_driver(library, options, executor, cache, Some(session))
-}
-
-fn charlib_driver(
-    library: &Library,
-    options: GenerateOptions,
-    executor: &Executor,
-    cache: &CharCache,
-    session: Option<&Session>,
-) -> Result<(Vec<PreparedCell>, LibrarySummary), CoreError> {
-    // The plain flow always runs unbudgeted; quarantine verdicts are a
-    // robust-flow concept and are never replayed here.
-    let budget = SimBudget::unlimited();
-    let plan = session
-        .map(|s| s.plan(library, options, &budget, cache, false))
-        .unwrap_or_default();
-    let results = executor.map(&library.cells, |_, lc| {
-        match plan.reuse(lc.cell.name()) {
-            // Store-verified degraded model, served back to this exact
-            // cell only (never-a-donor rule).
-            Some(Reuse::Degraded(p)) => Ok(p.clone()),
-            // Store-verified complete model: the session pre-seeded the
-            // cache, so this is a certified donor hit, no simulation.
-            Some(Reuse::Complete) => cache.characterize(lc.cell.clone(), options).map(Box::new),
-            _ => {
-                let result = cache.characterize(lc.cell.clone(), options);
-                if let (Some(s), Ok(p)) = (session, &result) {
-                    s.journal_model(p, options, &budget);
-                }
-                result.map(Box::new)
-            }
-        }
-    });
-    let mut prepared = Vec::with_capacity(results.len());
-    for result in results {
-        prepared.push(*result?);
-    }
-    if let Some(s) = session {
-        s.maybe_compact();
-    }
-    let summary = summarize(library.technology.name(), &prepared);
-    Ok((prepared, summary))
 }
 
 /// Builds the summary over already-characterized cells.
@@ -290,9 +193,13 @@ pub fn export_cam_to_dir(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ca_defects::from_cam;
-    use ca_netlist::library::{generate_library, LibraryConfig};
+    use crate::cache::CharCache;
+    use crate::robust::{characterize_library_robust_with, FaultPolicy};
+    use ca_defects::{from_cam, GenerateOptions};
+    use ca_exec::Executor;
+    use ca_netlist::library::{generate_library, Library, LibraryConfig};
     use ca_netlist::Technology;
+    use ca_sim::SimBudget;
 
     fn tiny_library() -> Library {
         let mut lib = generate_library(&LibraryConfig::quick(Technology::C40));
@@ -300,10 +207,34 @@ mod tests {
         lib
     }
 
+    /// The plain conventional flow over `lib`: the library driver under
+    /// `FailFast` with an unlimited budget.
+    fn characterize_with(
+        lib: &Library,
+        executor: &Executor,
+        cache: &CharCache,
+    ) -> (Vec<PreparedCell>, LibrarySummary) {
+        let outcome = characterize_library_robust_with(
+            lib,
+            GenerateOptions::default(),
+            &SimBudget::unlimited(),
+            FaultPolicy::FailFast,
+            executor,
+            cache,
+        )
+        .unwrap();
+        let summary = outcome.summary(lib.technology.name());
+        (outcome.prepared, summary)
+    }
+
+    fn characterize(lib: &Library) -> (Vec<PreparedCell>, LibrarySummary) {
+        characterize_with(lib, &Executor::from_env(), &CharCache::new())
+    }
+
     #[test]
     fn characterize_and_summarize() {
         let lib = tiny_library();
-        let (prepared, summary) = characterize_library(&lib, GenerateOptions::default()).unwrap();
+        let (prepared, summary) = characterize(&lib);
         assert_eq!(prepared.len(), 6);
         assert_eq!(summary.num_cells, 6);
         assert!(summary.total_defects > 0);
@@ -319,7 +250,7 @@ mod tests {
     #[test]
     fn mean_coverage_ignores_model_less_cells() {
         let lib = tiny_library();
-        let (mut prepared, full) = characterize_library(&lib, GenerateOptions::default()).unwrap();
+        let (mut prepared, full) = characterize(&lib);
         // Strip the models of half the cells: the mean over the rest
         // must not change (the old code divided by the total count).
         for p in prepared.iter_mut().skip(3) {
@@ -340,9 +271,8 @@ mod tests {
 
     #[test]
     fn export_skips_degraded_models_unless_opted_in() {
-        use ca_sim::SimBudget;
         let lib = tiny_library();
-        let (mut prepared, _) = characterize_library(&lib, GenerateOptions::default()).unwrap();
+        let (mut prepared, _) = characterize(&lib);
         // Re-characterize one cell under a truncating budget.
         let budget = SimBudget {
             max_defects: Some(4),
@@ -377,8 +307,7 @@ mod tests {
         for threads in [1, 4] {
             let cache = CharCache::new();
             let (prepared, summary) =
-                characterize_library_with(&lib, options, &Executor::with_threads(threads), &cache)
-                    .unwrap();
+                characterize_with(&lib, &Executor::with_threads(threads), &cache);
             assert_eq!(prepared.len(), cold.len());
             for (p, c) in prepared.iter().zip(&cold) {
                 assert_eq!(p.cell.name(), c.cell.name(), "order must be library order");
@@ -393,7 +322,7 @@ mod tests {
     #[test]
     fn cam_export_round_trips() {
         let lib = tiny_library();
-        let (prepared, _) = characterize_library(&lib, GenerateOptions::default()).unwrap();
+        let (prepared, _) = characterize(&lib);
         let exported = export_cam(&prepared);
         assert_eq!(exported.len(), 6);
         for (p, (name, text)) in prepared.iter().zip(&exported) {

@@ -1,5 +1,6 @@
 //! Error type of the CA-matrix and flow layers.
 
+use ca_sim::SimError;
 use std::fmt;
 
 /// Errors raised while canonicalizing cells or running generation flows.
@@ -104,6 +105,22 @@ impl fmt::Display for CoreError {
 }
 
 impl std::error::Error for CoreError {}
+
+impl CoreError {
+    /// Tags a budgeted-simulation failure with the cell it happened on.
+    pub(crate) fn from_sim(cell: &str, err: SimError) -> CoreError {
+        match err {
+            SimError::Oscillated { nets } => CoreError::SolverDiverged {
+                cell: cell.to_string(),
+                nets,
+            },
+            SimError::BudgetExceeded { resource } => CoreError::BudgetExceeded {
+                cell: cell.to_string(),
+                resource: resource.to_string(),
+            },
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

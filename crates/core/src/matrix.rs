@@ -22,7 +22,7 @@ use ca_defects::{BitRow, CaModel, DefectKind, DefectUniverse, GenerateOptions};
 use ca_ml::forest::PREDICT_BLOCK_ROWS;
 use ca_ml::{Classifier, Dataset};
 use ca_netlist::{Cell, Terminal};
-use ca_sim::{Injection, SimBudget, SimError};
+use ca_sim::{Injection, SimBudget};
 
 /// Fixed column layout of a cell group's CA-matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,17 +140,8 @@ impl PreparedCell {
         options: GenerateOptions,
         budget: &SimBudget,
     ) -> Result<PreparedCell, CoreError> {
-        let name = cell.name().to_string();
-        let model = CaModel::generate_budgeted(&cell, options, budget).map_err(|e| match e {
-            SimError::Oscillated { nets } => CoreError::SolverDiverged {
-                cell: name.clone(),
-                nets,
-            },
-            SimError::BudgetExceeded { resource } => CoreError::BudgetExceeded {
-                cell: name.clone(),
-                resource: resource.to_string(),
-            },
-        })?;
+        let model = CaModel::generate_budgeted(&cell, options, budget)
+            .map_err(|e| CoreError::from_sim(cell.name(), e))?;
         let mut prepared = PreparedCell::prepare(cell)?;
         prepared.universe = model.universe.clone();
         prepared.model = Some(model);

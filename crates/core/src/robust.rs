@@ -1,33 +1,39 @@
-//! Fault-tolerant library characterization: per-cell isolation, solver
-//! budgets, and quarantine reports.
+//! Fault-tolerant characterization: the one per-cell pipeline, solver
+//! budgets and quarantine reports.
 //!
-//! [`characterize_library`](crate::charlib::characterize_library) aborts
-//! the whole batch on the first broken cell. Real libraries contain
-//! damage — hand-edited netlists, extraction artifacts, unintended
-//! feedback loops — and a nightly characterization run must degrade per
-//! cell, not per library. [`characterize_library_robust`] runs every
-//! cell through a guarded pipeline:
+//! Real libraries contain damage — hand-edited netlists, extraction
+//! artifacts, unintended feedback loops — and a nightly characterization
+//! run must degrade per cell, not per library. Every freshly
+//! characterized cell therefore runs through one guarded pipeline:
 //!
-//! 1. **Lint** — structural pre-flight ([`ca_netlist::lint`]); any
-//!    error-level finding quarantines the cell before a single
-//!    simulation is spent.
+//! 1. **Lint** — structural pre-flight ([`lint()`]); any error-level
+//!    finding quarantines the cell before a single simulation is spent.
 //! 2. **Golden** — the defect-free cell is simulated with oscillation
 //!    detection ([`Simulator::try_run`]); divergence becomes
 //!    [`CoreError::SolverDiverged`] instead of silent X-forcing.
 //! 3. **Prepare + Characterize** — canonicalization and budgeted model
-//!    generation, wrapped in [`std::panic::catch_unwind`] so even a
-//!    panicking cell only loses itself.
+//!    generation through the [`CharCache`], wrapped in
+//!    [`std::panic::catch_unwind`] so even a panicking cell only loses
+//!    itself.
+//! 4. **Retry** — a budget-exhausted cell is re-run under a
+//!    progressively reduced budget (halved defect universe, static-only
+//!    stimuli), so a partially characterized — *degraded* — model still
+//!    exports.
 //!
-//! Failures are collected into a [`Quarantine`] report; the
-//! [`FaultPolicy`] decides whether to abort, skip, or retry with a
-//! reduced budget (halved defect universe, static-only stimuli) so a
-//! partially characterized — *degraded* — model still exports.
+//! The pipeline has two front ends. The library drivers
+//! [`characterize_library_robust_with`] and
+//! [`characterize_library_robust_with_session`] fold it over a library:
+//! the [`FaultPolicy`] sets the retry count and decides whether a failure
+//! aborts the batch or lands in the [`Quarantine`] report. The
+//! per-request [`CellService`](crate::service::CellService) runs it under
+//! a deadline. DESIGN.md §17 says what each front end owns.
 
 // This module exists to keep broken cells from taking down a batch;
 // it must not itself abort on a stray unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::cache::CharCache;
+use crate::charlib::{summarize, LibrarySummary};
 use crate::error::CoreError;
 use crate::matrix::PreparedCell;
 use crate::session::{Reuse, Session};
@@ -36,8 +42,9 @@ use ca_exec::Executor;
 use ca_netlist::library::Library;
 use ca_netlist::lint::{lint, Severity};
 use ca_netlist::Cell;
+use ca_obs::clock::Deadline;
 use ca_obs::Stopwatch;
-use ca_sim::{Injection, SimBudget, SimError, Simulator, Stimulus};
+use ca_sim::{Injection, SimBudget, Simulator, Stimulus};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -141,7 +148,7 @@ impl Quarantine {
     }
 }
 
-/// Result of [`characterize_library_robust`].
+/// Result of the library drivers ([`characterize_library_robust_with`]).
 #[derive(Debug)]
 pub struct RobustOutcome {
     /// Successfully characterized cells (possibly with degraded models).
@@ -158,36 +165,26 @@ impl RobustOutcome {
             .filter(|p| p.model.as_ref().is_some_and(|m| m.degraded))
             .count()
     }
+
+    /// The library summary of this outcome: [`summarize`] over the
+    /// characterized cells, with the quarantine count filled in.
+    pub fn summary(&self, technology: &str) -> LibrarySummary {
+        LibrarySummary {
+            quarantined: self.quarantine.len(),
+            ..summarize(technology, &self.prepared)
+        }
+    }
 }
 
-/// Characterizes every cell of `library` under `budget`, isolating
-/// per-cell failures according to `policy`.
+/// Characterizes every cell of `library` under `budget` on `executor`,
+/// sharing `cache` across cells and isolating per-cell failures
+/// according to `policy`.
 ///
 /// The invariant callers rely on: `prepared.len() + quarantine.len() ==
 /// library.len()` (under [`FaultPolicy::SkipAndReport`] and
-/// [`FaultPolicy::RetryWithReducedBudget`]).
-///
-/// # Errors
-///
-/// Only [`FaultPolicy::FailFast`] returns an error — the first per-cell
-/// failure, like [`characterize_library`](crate::characterize_library).
-pub fn characterize_library_robust(
-    library: &Library,
-    options: GenerateOptions,
-    budget: &SimBudget,
-    policy: FaultPolicy,
-) -> Result<RobustOutcome, CoreError> {
-    characterize_library_robust_with(
-        library,
-        options,
-        budget,
-        policy,
-        &Executor::from_env(),
-        &CharCache::new(),
-    )
-}
-
-/// [`characterize_library_robust`] with explicit executor and cache.
+/// [`FaultPolicy::RetryWithReducedBudget`]). [`FaultPolicy::FailFast`]
+/// with [`SimBudget::unlimited`] is the plain conventional flow: on a
+/// clean library its models equal [`PreparedCell::characterize`]'s.
 ///
 /// The outcome is deterministic in everything but per-entry `elapsed`
 /// times: `prepared` and `quarantine.entries` are in library order, and
@@ -197,7 +194,7 @@ pub fn characterize_library_robust(
 /// # Errors
 ///
 /// Only [`FaultPolicy::FailFast`] returns an error — the first per-cell
-/// failure, like [`characterize_library`](crate::characterize_library).
+/// failure in library order.
 pub fn characterize_library_robust_with(
     library: &Library,
     options: GenerateOptions,
@@ -220,7 +217,7 @@ pub fn characterize_library_robust_with(
 /// # Errors
 ///
 /// Only [`FaultPolicy::FailFast`] returns an error — the first per-cell
-/// failure, like [`characterize_library`](crate::characterize_library).
+/// failure in library order.
 pub fn characterize_library_robust_with_session(
     library: &Library,
     options: GenerateOptions,
@@ -290,35 +287,29 @@ fn robust_driver(
             // Store-verified complete model: the session pre-seeded the
             // cache, so this resolves through the certified donor path
             // without lint/golden/simulation.
-            Some(Reuse::Complete) => {
-                let name = lc.cell.name().to_string();
-                match isolated(&name, || cache.characterize(lc.cell.clone(), options)) {
-                    Ok(p) => Item::Done(Box::new(p)),
-                    Err(err) => Item::Fail(FailurePhase::Prepare, err, started.elapsed(), 0),
-                }
-            }
+            Some(Reuse::Complete) => match donor_hit(&lc.cell, options, cache) {
+                Ok(p) => Item::Done(Box::new(p)),
+                Err((phase, err)) => Item::Fail(phase, err, started.elapsed(), 0),
+            },
             Some(Reuse::Quarantined {
                 phase,
                 retries,
                 reason,
             }) => Item::Replay(*phase, reason.clone(), *retries),
             None => {
-                let mut retries = 0u32;
-                let mut outcome = characterize_cell_guarded(&lc.cell, options, budget, cache);
-                if let FaultPolicy::RetryWithReducedBudget(max_retries) = policy {
-                    while retries < max_retries {
-                        match &outcome {
-                            Err((_, CoreError::BudgetExceeded { .. })) => {
-                                retries += 1;
-                                let reduced = reduced_budget(budget, &lc.cell, retries);
-                                outcome =
-                                    characterize_cell_guarded(&lc.cell, options, &reduced, cache);
-                            }
-                            _ => break,
-                        }
-                    }
-                }
-                match outcome {
+                let max_retries = match policy {
+                    FaultPolicy::RetryWithReducedBudget(n) => n,
+                    FaultPolicy::FailFast | FaultPolicy::SkipAndReport => 0,
+                };
+                let run = characterize_cell_retrying(
+                    &lc.cell,
+                    options,
+                    budget,
+                    max_retries,
+                    Deadline::never(),
+                    cache,
+                );
+                match run.outcome {
                     Ok(p) => {
                         // Journal under the *configured* budget (not the
                         // reduced retry budget): a resumed run under the
@@ -335,13 +326,13 @@ fn robust_driver(
                                     &lc.cell,
                                     phase,
                                     &err.to_string(),
-                                    retries,
+                                    run.retries,
                                     options,
                                     budget,
                                 );
                             }
                         }
-                        Item::Fail(phase, err, started.elapsed(), retries)
+                        Item::Fail(phase, err, started.elapsed(), run.retries)
                     }
                 }
             }
@@ -399,10 +390,96 @@ fn robust_driver(
     })
 }
 
+/// One cell's fresh run through the pipeline.
+pub(crate) struct CellRun {
+    /// The final attempt's model, or its failure tagged with the phase.
+    pub(crate) outcome: Result<PreparedCell, (FailurePhase, CoreError)>,
+    pub(crate) retries: u32,
+    /// The deadline, not the budget, was the binding limit: the tighter
+    /// wall clock of the final attempt, or expired before a retry.
+    pub(crate) deadline_bound: bool,
+}
+
+/// The per-cell pipeline both front ends share: lint → golden →
+/// prepare/characterize under `budget` clamped to `deadline`, then up to
+/// `max_retries` reduced-budget retries while the failure is budget
+/// exhaustion. A wall-clock failure under the deadline's clock, or a
+/// deadline that expires before a retry, ends the retries: the request
+/// ran out of time, the cell did not need less work.
+pub(crate) fn characterize_cell_retrying(
+    cell: &Cell,
+    options: GenerateOptions,
+    budget: &SimBudget,
+    max_retries: u32,
+    deadline: Deadline,
+    cache: &CharCache,
+) -> CellRun {
+    let mut retries = 0;
+    let mut attempt = *budget;
+    loop {
+        let (effective, tightened) = clamp_to_deadline(&attempt, deadline);
+        let outcome = characterize_cell_guarded(cell, options, &effective, cache);
+        let deadline_bound = match &outcome {
+            Err((_, CoreError::BudgetExceeded { resource, .. })) if retries < max_retries => {
+                if (tightened && resource == "wall clock") || deadline.expired() {
+                    true
+                } else {
+                    retries += 1;
+                    attempt = reduced_budget(budget, cell, retries);
+                    continue;
+                }
+            }
+            _ => tightened,
+        };
+        return CellRun {
+            outcome,
+            retries,
+            deadline_bound,
+        };
+    }
+}
+
+/// Resolves `cell` through the cache's certified donor path alone — no
+/// lint, no golden, no journal — for cells whose donor already passed
+/// both on a structure-identical netlist (a store-verified record, or a
+/// coalesced leader's fresh model). Panic-isolated; any failure is a
+/// prepare-phase failure.
+pub(crate) fn donor_hit(
+    cell: &Cell,
+    options: GenerateOptions,
+    cache: &CharCache,
+) -> Result<PreparedCell, (FailurePhase, CoreError)> {
+    isolated(cell.name(), || cache.characterize(cell.clone(), options))
+        .map_err(|err| (FailurePhase::Prepare, err))
+}
+
+/// Effective budget for one attempt under `deadline`, plus whether the
+/// deadline is the *binding* wall constraint (strictly tighter than the
+/// attempt budget's own wall clock). A no-op under [`Deadline::never`].
+fn clamp_to_deadline(budget: &SimBudget, deadline: Deadline) -> (SimBudget, bool) {
+    match deadline.remaining() {
+        None => (*budget, false),
+        Some(rem) => {
+            let wall = match budget.wall_clock {
+                Some(configured) if configured <= rem => Some(configured),
+                _ => Some(rem),
+            };
+            let tightened = wall != budget.wall_clock;
+            (
+                SimBudget {
+                    wall_clock: wall,
+                    ..*budget
+                },
+                tightened,
+            )
+        }
+    }
+}
+
 /// The budget of retry `attempt` (1-based): truncate the defect universe
 /// by half per attempt, keep only the static stimuli, and lift the
 /// wall-clock/iteration limits so the reduced work can finish.
-pub(crate) fn reduced_budget(budget: &SimBudget, cell: &Cell, attempt: u32) -> SimBudget {
+fn reduced_budget(budget: &SimBudget, cell: &Cell, attempt: u32) -> SimBudget {
     let full_universe = cell.num_transistors() * 6;
     let ceiling = budget
         .max_defects
@@ -417,7 +494,7 @@ pub(crate) fn reduced_budget(budget: &SimBudget, cell: &Cell, attempt: u32) -> S
 
 /// Runs one cell through lint → golden → prepare/characterize, tagging
 /// any failure with the phase it happened in.
-pub(crate) fn characterize_cell_guarded(
+fn characterize_cell_guarded(
     cell: &Cell,
     options: GenerateOptions,
     budget: &SimBudget,
@@ -455,14 +532,7 @@ pub(crate) fn characterize_cell_guarded(
             ));
         }
         if let Err(e) = sim.try_run(&stimulus) {
-            let err = match e {
-                SimError::Oscillated { nets } => CoreError::SolverDiverged { cell: name, nets },
-                SimError::BudgetExceeded { resource } => CoreError::BudgetExceeded {
-                    cell: name,
-                    resource: resource.to_string(),
-                },
-            };
-            return Err((FailurePhase::Golden, err));
+            return Err((FailurePhase::Golden, CoreError::from_sim(&name, e)));
         }
     }
     // 3+4. Prepare and characterize, panic-isolated: a defective cell
@@ -523,11 +593,13 @@ MN1 net0 B VSS VSS nch
     #[test]
     fn clean_library_has_empty_quarantine() {
         let lib = tiny_library();
-        let outcome = characterize_library_robust(
+        let outcome = characterize_library_robust_with(
             &lib,
             GenerateOptions::default(),
             &SimBudget::unlimited(),
             FaultPolicy::SkipAndReport,
+            &Executor::from_env(),
+            &CharCache::new(),
         )
         .unwrap();
         assert_eq!(outcome.prepared.len(), lib.len());
@@ -540,11 +612,13 @@ MN1 net0 B VSS VSS nch
         let mut lib = tiny_library();
         lib.cells[1].cell =
             corrupt_cell(&lib.cells[1].cell, Corruption::FloatingOutput, 3).unwrap();
-        let outcome = characterize_library_robust(
+        let outcome = characterize_library_robust_with(
             &lib,
             GenerateOptions::default(),
             &SimBudget::unlimited(),
             FaultPolicy::SkipAndReport,
+            &Executor::from_env(),
+            &CharCache::new(),
         )
         .unwrap();
         assert_eq!(outcome.prepared.len(), lib.len() - 1);
@@ -577,11 +651,13 @@ MN1 net0 B VSS VSS nch
     fn fail_fast_propagates_the_first_error() {
         let mut lib = tiny_library();
         lib.cells[0].cell = corrupt_cell(&lib.cells[0].cell, Corruption::DanglingGate, 9).unwrap();
-        let err = characterize_library_robust(
+        let err = characterize_library_robust_with(
             &lib,
             GenerateOptions::default(),
             &SimBudget::unlimited(),
             FaultPolicy::FailFast,
+            &Executor::from_env(),
+            &CharCache::new(),
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::PrepareFailed { .. }), "{err:?}");
@@ -597,11 +673,13 @@ MN1 net0 B VSS VSS nch
             wall_clock: Some(Duration::ZERO),
             ..SimBudget::unlimited()
         };
-        let skip = characterize_library_robust(
+        let skip = characterize_library_robust_with(
             &lib,
             GenerateOptions::default(),
             &strangled,
             FaultPolicy::SkipAndReport,
+            &Executor::from_env(),
+            &CharCache::new(),
         )
         .unwrap();
         assert_eq!(skip.quarantine.len(), lib.len());
@@ -610,11 +688,13 @@ MN1 net0 B VSS VSS nch
             .entries
             .iter()
             .all(|e| e.phase == FailurePhase::Golden && e.reason.contains("wall clock")));
-        let retried = characterize_library_robust(
+        let retried = characterize_library_robust_with(
             &lib,
             GenerateOptions::default(),
             &strangled,
             FaultPolicy::RetryWithReducedBudget(1),
+            &Executor::from_env(),
+            &CharCache::new(),
         )
         .unwrap();
         assert!(
@@ -640,17 +720,44 @@ MN1 net0 B VSS VSS nch
         let mut lib = tiny_library();
         lib.cells[2].cell =
             corrupt_cell(&lib.cells[2].cell, Corruption::ZeroTransistor, 11).unwrap();
-        let outcome = characterize_library_robust(
+        let outcome = characterize_library_robust_with(
             &lib,
             GenerateOptions::default(),
             &SimBudget::unlimited(),
             FaultPolicy::RetryWithReducedBudget(3),
+            &Executor::from_env(),
+            &CharCache::new(),
         )
         .unwrap();
         assert_eq!(outcome.quarantine.len(), 1);
         let entry = &outcome.quarantine.entries[0];
         assert_eq!(entry.retries, 0);
         assert!(entry.reason.contains("no-transistors"), "{}", entry.reason);
+    }
+
+    #[test]
+    fn a_binding_deadline_ends_the_retries() {
+        let cell = spice::parse_cell(NAND2).unwrap();
+        let run = |budget: &SimBudget, deadline| {
+            let options = GenerateOptions::default();
+            characterize_cell_retrying(&cell, options, budget, 2, deadline, &CharCache::new())
+        };
+        // A zero wall clock in the configured budget is the cell's limit:
+        // retried into a degraded model.
+        let strangled = SimBudget {
+            wall_clock: Some(Duration::ZERO),
+            ..SimBudget::unlimited()
+        };
+        let retried = run(&strangled, Deadline::never());
+        assert_eq!((retried.retries, retried.deadline_bound), (1, false));
+        assert!(retried.outcome.unwrap().model.unwrap().degraded);
+        // The same zero limit coming from the deadline is the request's.
+        let cut = run(&SimBudget::unlimited(), Deadline::after(Duration::ZERO));
+        assert_eq!((cut.retries, cut.deadline_bound), (0, true));
+        assert!(matches!(
+            cut.outcome,
+            Err((FailurePhase::Golden, CoreError::BudgetExceeded { .. }))
+        ));
     }
 
     #[test]
@@ -681,5 +788,27 @@ MN1 net0 B VSS VSS nch
         assert!(text.contains("BAD [lint]"));
         assert_eq!(q.entry("BAD").unwrap().retries, 1);
         assert!(q.entry("GOOD").is_none());
+    }
+
+    #[test]
+    fn clamp_to_deadline_tracks_the_binding_constraint() {
+        let unlimited = SimBudget::unlimited();
+        let (eff, tightened) = clamp_to_deadline(&unlimited, Deadline::never());
+        assert_eq!(eff.wall_clock, None);
+        assert!(!tightened);
+        // Deadline binds an unlimited budget.
+        let (eff, tightened) =
+            clamp_to_deadline(&unlimited, Deadline::after(Duration::from_secs(5)));
+        assert!(tightened);
+        assert!(eff.wall_clock.unwrap() <= Duration::from_secs(5));
+        // A tighter configured wall clock keeps binding.
+        let capped = SimBudget {
+            wall_clock: Some(Duration::from_millis(1)),
+            ..SimBudget::unlimited()
+        };
+        let (eff, tightened) =
+            clamp_to_deadline(&capped, Deadline::after(Duration::from_secs(3600)));
+        assert_eq!(eff.wall_clock, Some(Duration::from_millis(1)));
+        assert!(!tightened);
     }
 }

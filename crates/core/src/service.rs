@@ -1,38 +1,43 @@
 //! Per-cell, deadline-aware characterization over a durable session —
 //! the engine behind the `ca-serve` daemon.
 //!
-//! The batch drivers ([`characterize_library_robust_with_session`]
-//! (crate::characterize_library_robust_with_session)) answer "run this
-//! whole library"; a long-running service instead answers one cell at a
-//! time, concurrently, with a per-request deadline. [`CellService`] is
-//! that entry point:
+//! The library drivers
+//! ([`characterize_library_robust_with_session`](crate::robust::characterize_library_robust_with_session))
+//! answer "run this whole library"; a long-running service instead
+//! answers one cell at a time, concurrently, with a per-request deadline.
+//! [`CellService`] is that front end to the same per-cell pipeline the
+//! batch driver folds (lint → golden → prepare/characterize, reduced-
+//! budget retries; see [`robust`](crate::robust)). What it adds is its
+//! own:
 //!
 //! - **Open** binds a [`Session`] store to a [`Library`]: journaled
 //!   records are re-verified exactly as a batch resume would (stale/
 //!   invalid evicted, complete models seeded into the donor cache,
 //!   degraded models and quarantine verdicts scheduled for replay).
-//! - **Characterize** runs one cell through the same guarded pipeline as
-//!   the robust driver (lint → golden → prepare/characterize, reduced-
-//!   budget retries) and journals results under the *configured* budget,
-//!   so a killed server resumes — and a batch run over the same store
-//!   converges — byte-identically.
+//! - **Fingerprint guard.** Plan reuse and journaling apply only when the
+//!   request's netlist *is* the library cell of that name; a same-name
+//!   lookalike is served but never journaled over the library record.
+//! - **Memo.** Fresh degraded models and quarantine verdicts are
+//!   memoized by netlist fingerprint; complete models need no memo, the
+//!   donor cache serves structure-identical repeats.
 //! - **Deadlines** propagate into [`SimBudget::wall_clock`] as the
 //!   tighter of the request's remaining time and the configured budget.
-//!   A result is journaled only when the deadline was *not* the binding
-//!   wall constraint of the final attempt: anything the deadline may
+//!   A result is journaled (under the *configured* budget) only when the
+//!   deadline was *not* the binding limit: anything the deadline may
 //!   have truncated is answered [`CellVerdict::DeadlineExceeded`] (or
 //!   served un-journaled when the configured caps make attribution
 //!   ambiguous), so the store never holds bytes a configured-budget run
-//!   would not reproduce.
+//!   would not reproduce, and a killed server resumes — and a batch run
+//!   over the same store converges — byte-identically.
 
 // Service code runs unattended for days; a stray unwrap kills the
 // daemon instead of failing one request.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::cache::CharCache;
+use crate::cache::{truncating, CharCache};
 use crate::error::CoreError;
 use crate::matrix::PreparedCell;
-use crate::robust::{characterize_cell_guarded, isolated, reduced_budget, FailurePhase};
+use crate::robust::{characterize_cell_retrying, donor_hit, FailurePhase};
 use crate::session::{cell_fingerprint, Reuse, Session, SessionPlan, SessionReport};
 use ca_defects::GenerateOptions;
 use ca_netlist::library::Library;
@@ -44,7 +49,7 @@ use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
 
 /// The outcome of one service request.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum CellVerdict {
     /// A model landed: fresh simulation, certified donor hit, or
     /// store-verified reuse. `model` is always populated.
@@ -82,18 +87,6 @@ pub enum StoredVerdict {
     },
 }
 
-/// Memoized fresh outcomes, keyed by whole-netlist fingerprint so a
-/// name collision between unrelated cells can never replay the wrong
-/// verdict (the same identity check the session store uses).
-enum Memo {
-    Degraded(Box<PreparedCell>),
-    Quarantined {
-        phase: FailurePhase,
-        reason: String,
-        retries: u32,
-    },
-}
-
 /// Per-cell characterization service over one durable session; see the
 /// module docs. `Sync`: requests may run concurrently from any number of
 /// threads, serializing only on the journal append and the small plan/
@@ -108,7 +101,11 @@ pub struct CellService {
     /// Fingerprint of each library cell, guarding plan reuse and
     /// journaling against same-name lookalikes submitted inline.
     library_fp: BTreeMap<String, u64>,
-    memo: Mutex<BTreeMap<u64, Memo>>,
+    /// Fresh degraded models and quarantine verdicts, keyed by
+    /// whole-netlist fingerprint so a name collision between unrelated
+    /// cells can never replay the wrong verdict (the same identity check
+    /// the session store uses).
+    memo: Mutex<BTreeMap<u64, CellVerdict>>,
 }
 
 impl std::fmt::Debug for CellService {
@@ -224,41 +221,15 @@ impl CellService {
                         retries: *retries,
                     }
                 }
-                Some(Reuse::Complete) => {
-                    // The plan seeded the donor; resolve through the
-                    // certified donor path without lint/golden.
-                    return match isolated(name, || {
-                        self.cache.characterize(cell.clone(), self.options)
-                    }) {
-                        Ok(p) => CellVerdict::Model(Box::new(p)),
-                        Err(err) => CellVerdict::Quarantined {
-                            phase: FailurePhase::Prepare,
-                            reason: err.to_string(),
-                            retries: 0,
-                        },
-                    };
-                }
+                // The plan seeded the donor; resolve through the
+                // certified donor path without lint/golden.
+                Some(Reuse::Complete) => return self.coalesced_characterize(cell),
                 None => {}
             }
         }
         // 2. Memoized fresh verdicts (exact-identity key).
-        {
-            let memo = lock(&self.memo);
-            match memo.get(&fp) {
-                Some(Memo::Degraded(p)) => return CellVerdict::Model(p.clone()),
-                Some(Memo::Quarantined {
-                    phase,
-                    reason,
-                    retries,
-                }) => {
-                    return CellVerdict::Quarantined {
-                        phase: *phase,
-                        reason: reason.clone(),
-                        retries: *retries,
-                    }
-                }
-                None => {}
-            }
+        if let Some(verdict) = lock(&self.memo).get(&fp) {
+            return verdict.clone();
         }
         // 3. Fresh guarded pipeline. (Complete models need no memo: the
         // donor cache serves structure-identical repeats.)
@@ -266,64 +237,51 @@ impl CellService {
     }
 
     fn fresh(&self, cell: &Cell, fp: u64, deadline: Deadline) -> CellVerdict {
-        let name = cell.name();
-        let (eff, mut tightened) = clamp_to_deadline(&self.budget, deadline);
-        let mut retries = 0u32;
-        let mut outcome = characterize_cell_guarded(cell, self.options, &eff, &self.cache);
-        // Reduced-budget retries, mirroring FaultPolicy::
-        // RetryWithReducedBudget — but a wall-clock exhaustion whose
-        // binding constraint was the *request deadline* is not a cell
-        // problem and must not be diagnosed (or journaled) as one.
-        while retries < self.max_retries {
-            match &outcome {
-                Err((_, CoreError::BudgetExceeded { resource, .. })) => {
-                    if tightened && resource == "wall clock" {
-                        return CellVerdict::DeadlineExceeded;
-                    }
-                    if deadline.expired() {
-                        return CellVerdict::DeadlineExceeded;
-                    }
-                    retries += 1;
-                    let reduced = reduced_budget(&self.budget, cell, retries);
-                    let (eff, t) = clamp_to_deadline(&reduced, deadline);
-                    tightened = t;
-                    outcome = characterize_cell_guarded(cell, self.options, &eff, &self.cache);
-                }
-                _ => break,
-            }
-        }
-        match outcome {
+        let run = characterize_cell_retrying(
+            cell,
+            self.options,
+            &self.budget,
+            self.max_retries,
+            deadline,
+            &self.cache,
+        );
+        let retries = run.retries;
+        // Journal under the *configured* budget — but only when the
+        // deadline was not the binding limit, so the stored bytes are
+        // exactly what a configured-budget run would produce.
+        let durable = !run.deadline_bound && self.journal_allowed(cell.name(), fp);
+        match run.outcome {
             Ok(p) => {
                 let degraded = p.model.as_ref().is_some_and(|m| m.degraded);
-                if degraded && tightened && retries == 0 && !truncating(&self.budget) {
+                if degraded && run.deadline_bound && retries == 0 && !truncating(&self.budget) {
                     // The deadline was the only cap that could have
                     // fired: the truncated model is not the configured
                     // answer. Withhold it; nothing journaled.
                     return CellVerdict::DeadlineExceeded;
                 }
-                // Journal under the *configured* budget — but only when
-                // the deadline was not the binding wall constraint of
-                // the final attempt, so the stored bytes are exactly
-                // what a configured-budget run would produce.
-                if !tightened && self.journal_allowed(name, fp) {
+                if durable {
                     self.session.journal_model(&p, self.options, &self.budget);
                     if degraded {
                         // Mirror what a restart would plan from the
                         // store: degraded models replay to this exact
                         // cell (never as donors).
-                        lock(&self.memo).insert(fp, Memo::Degraded(Box::new(p.clone())));
+                        lock(&self.memo).insert(fp, CellVerdict::Model(Box::new(p.clone())));
                     }
                 }
                 CellVerdict::Model(Box::new(p))
             }
             Err((phase, err)) => {
-                if tightened
-                    && matches!(&err, CoreError::BudgetExceeded { resource, .. } if resource == "wall clock")
+                // Budget exhaustion the deadline caused — its wall clock
+                // fired, or it expired with retries left — is not a cell
+                // problem and must not be diagnosed (or journaled) as one.
+                if run.deadline_bound
+                    && matches!(&err, CoreError::BudgetExceeded { resource, .. }
+                        if resource == "wall clock" || retries < self.max_retries)
                 {
                     return CellVerdict::DeadlineExceeded;
                 }
                 let reason = err.to_string();
-                if !tightened && self.journal_allowed(name, fp) {
+                if durable {
                     self.session.journal_quarantine(
                         cell,
                         phase,
@@ -333,19 +291,13 @@ impl CellService {
                         &self.budget,
                     );
                 }
-                lock(&self.memo).insert(
-                    fp,
-                    Memo::Quarantined {
-                        phase,
-                        reason: reason.clone(),
-                        retries,
-                    },
-                );
-                CellVerdict::Quarantined {
+                let verdict = CellVerdict::Quarantined {
                     phase,
                     reason,
                     retries,
-                }
+                };
+                lock(&self.memo).insert(fp, verdict.clone());
+                verdict
             }
         }
     }
@@ -357,12 +309,10 @@ impl CellService {
     /// remap re-certifies equivalence per cell. Journals nothing (the
     /// leader's journal entry is the durable copy).
     pub fn coalesced_characterize(&self, cell: &Cell) -> CellVerdict {
-        match isolated(cell.name(), || {
-            self.cache.characterize(cell.clone(), self.options)
-        }) {
+        match donor_hit(cell, self.options, &self.cache) {
             Ok(p) => CellVerdict::Model(Box::new(p)),
-            Err(err) => CellVerdict::Quarantined {
-                phase: FailurePhase::Prepare,
+            Err((phase, err)) => CellVerdict::Quarantined {
+                phase,
                 reason: err.to_string(),
                 retries: 0,
             },
@@ -377,37 +327,6 @@ impl CellService {
     fn journal_allowed(&self, name: &str, fp: u64) -> bool {
         self.library_fp.get(name).is_none_or(|lib| *lib == fp)
     }
-}
-
-/// Effective budget for one attempt under `deadline`, plus whether the
-/// deadline is the *binding* wall constraint (strictly tighter than the
-/// attempt budget's own wall clock).
-fn clamp_to_deadline(budget: &SimBudget, deadline: Deadline) -> (SimBudget, bool) {
-    match deadline.remaining() {
-        None => (*budget, false),
-        Some(rem) => {
-            let wall = match budget.wall_clock {
-                Some(configured) if configured <= rem => Some(configured),
-                _ => Some(rem),
-            };
-            let tightened = wall != budget.wall_clock;
-            (
-                SimBudget {
-                    wall_clock: wall,
-                    ..*budget
-                },
-                tightened,
-            )
-        }
-    }
-}
-
-/// Whether a budget carries result-truncating caps (anything but a pure
-/// wall clock).
-fn truncating(budget: &SimBudget) -> bool {
-    budget.max_stimuli.is_some()
-        || budget.max_defects.is_some()
-        || budget.max_solver_iterations.is_some()
 }
 
 fn lock<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
@@ -571,27 +490,5 @@ mod tests {
             Some(StoredVerdict::Complete(_)) => {}
             other => panic!("library record clobbered: {other:?}"),
         }
-    }
-
-    #[test]
-    fn clamp_to_deadline_tracks_the_binding_constraint() {
-        let unlimited = SimBudget::unlimited();
-        let (eff, tightened) = clamp_to_deadline(&unlimited, Deadline::never());
-        assert_eq!(eff.wall_clock, None);
-        assert!(!tightened);
-        // Deadline binds an unlimited budget.
-        let (eff, tightened) =
-            clamp_to_deadline(&unlimited, Deadline::after(Duration::from_secs(5)));
-        assert!(tightened);
-        assert!(eff.wall_clock.unwrap() <= Duration::from_secs(5));
-        // A tighter configured wall clock keeps binding.
-        let capped = SimBudget {
-            wall_clock: Some(Duration::from_millis(1)),
-            ..SimBudget::unlimited()
-        };
-        let (eff, tightened) =
-            clamp_to_deadline(&capped, Deadline::after(Duration::from_secs(3600)));
-        assert_eq!(eff.wall_clock, Some(Duration::from_millis(1)));
-        assert!(!tightened);
     }
 }

@@ -1,9 +1,10 @@
 //! Durable characterization sessions: checkpoint/resume over the
 //! journaled on-disk store of `ca-store`.
 //!
-//! A [`Session`] wraps a [`ca_store::Store`] and gives the library
-//! drivers ([`characterize_library_with_session`](crate::charlib::characterize_library_with_session),
-//! [`characterize_library_robust_with_session`](crate::robust::characterize_library_robust_with_session))
+//! A [`Session`] wraps a [`ca_store::Store`] and gives both front ends
+//! of the characterization pipeline — the library driver
+//! [`characterize_library_robust_with_session`](crate::robust::characterize_library_robust_with_session)
+//! and the per-request [`CellService`](crate::service::CellService) —
 //! three behaviours:
 //!
 //! 1. **On start** the store is loaded (recovering any torn tail) and

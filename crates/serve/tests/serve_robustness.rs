@@ -8,7 +8,10 @@
 //! restart cannot recover, and the served models stay byte-identical to
 //! a batch golden run throughout.
 
-use ca_core::{characterize_library_robust, export_cam_with, CellService, FaultPolicy};
+use ca_core::{
+    characterize_library_robust_with, export_cam_with, CellService, CharCache, Executor,
+    FaultPolicy,
+};
 use ca_defects::GenerateOptions;
 use ca_netlist::library::{generate_library, Library, LibraryConfig};
 use ca_netlist::Technology;
@@ -367,11 +370,13 @@ impl Daemon {
 /// The batch golden: cell name → `.cam` bytes, straight through the
 /// robust driver with no store and no deadlines.
 fn golden_cams(cells: usize) -> BTreeMap<String, String> {
-    let outcome = characterize_library_robust(
+    let outcome = characterize_library_robust_with(
         &tiny_library(cells),
         GenerateOptions::default(),
         &SimBudget::unlimited(),
         FaultPolicy::SkipAndReport,
+        &Executor::from_env(),
+        &CharCache::new(),
     )
     .expect("golden run");
     export_cam_with(&outcome.prepared, true)

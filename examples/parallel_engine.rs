@@ -5,9 +5,10 @@
 //! Output is deterministic (cache hit/miss counts included) at every
 //! `CA_THREADS` value, so `diff`ing two runs is a valid probe.
 
-use cell_aware::core::{characterize_library_with, CharCache, Executor};
+use cell_aware::core::{characterize_library_robust_with, CharCache, Executor, FaultPolicy};
 use cell_aware::defects::GenerateOptions;
 use cell_aware::netlist::{generate_library, LibraryConfig, Technology};
+use cell_aware::sim::SimBudget;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Skew and VT flavors multiply every template into families of
@@ -20,10 +21,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let executor = Executor::from_env();
     let cache = CharCache::new();
-    let (prepared, summary) =
-        characterize_library_with(&library, GenerateOptions::default(), &executor, &cache)?;
+    // The plain conventional flow: fail on the first broken cell, no
+    // budget caps.
+    let outcome = characterize_library_robust_with(
+        &library,
+        GenerateOptions::default(),
+        &SimBudget::unlimited(),
+        FaultPolicy::FailFast,
+        &executor,
+        &cache,
+    )?;
 
-    print!("{}", summary.render());
+    print!("{}", outcome.summary(library.technology.name()).render());
     let stats = cache.stats();
     println!(
         "cache: {} hits / {} misses ({:.1}% hit rate), {} rejected, {} bypassed",
@@ -36,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "simulated {} of {} cells; the rest were remapped from structural donors",
         stats.misses,
-        prepared.len()
+        outcome.prepared.len()
     );
     Ok(())
 }

@@ -9,7 +9,7 @@
 //! exportable-on-opt-in) models.
 
 use cell_aware::core::{
-    characterize_library_robust, export_cam, export_cam_with, summarize, FaultPolicy,
+    characterize_library_robust_with, export_cam, export_cam_with, CharCache, Executor, FaultPolicy,
 };
 use cell_aware::defects::GenerateOptions;
 use cell_aware::netlist::corrupt::salt_library;
@@ -27,18 +27,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Robust characterization: skip-and-report policy.
-    let outcome = characterize_library_robust(
+    let outcome = characterize_library_robust_with(
         &lib,
         GenerateOptions::default(),
         &SimBudget::unlimited(),
         FaultPolicy::SkipAndReport,
+        &Executor::from_env(),
+        &CharCache::new(),
     )?;
     println!();
     print!("{}", outcome.quarantine.render());
-    let mut summary = summarize(lib.technology.name(), &outcome.prepared);
-    summary.quarantined = outcome.quarantine.len();
     println!();
-    print!("{}", summary.render());
+    print!("{}", outcome.summary(lib.technology.name()).render());
     println!(
         "exported {} .cam models from {} healthy cells",
         export_cam(&outcome.prepared).len(),
@@ -52,11 +52,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         wall_clock: Some(std::time::Duration::ZERO),
         ..SimBudget::unlimited()
     };
-    let retried = characterize_library_robust(
+    let retried = characterize_library_robust_with(
         &lib,
         GenerateOptions::default(),
         &strangled,
         FaultPolicy::RetryWithReducedBudget(1),
+        &Executor::from_env(),
+        &CharCache::new(),
     )?;
     println!(
         "\nretry-with-reduced-budget: {} models ({} degraded), \

@@ -11,8 +11,8 @@
 //! re-simulated.
 
 use cell_aware::core::{
-    characterize_library_robust_with_session, export_cam_with, summarize, CharCache, Executor,
-    FaultPolicy, Session,
+    characterize_library_robust_with_session, export_cam_with, CharCache, Executor, FaultPolicy,
+    Session,
 };
 use cell_aware::defects::GenerateOptions;
 use cell_aware::netlist::corrupt::{corrupt_cell, Corruption};
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Day one: a fresh store. Every cell simulates and is journaled.
     let session = Session::open(&store)?;
     let first = run(&lib, &session)?;
-    let summary = summarize(lib.technology.name(), &first.prepared);
+    let summary = first.summary(lib.technology.name());
     println!("first run:  {} cells characterized", summary.num_cells);
     print!("{}", session.report().render());
 

@@ -75,6 +75,16 @@ CA_THREADS=1 cargo test -q -p ca-serve --test serve_robustness --offline
 echo "==> serve robustness (drain + SIGKILL resume, CA_THREADS=4)"
 CA_THREADS=4 cargo test -q -p ca-serve --test serve_robustness --offline
 
+# Every declared cargo feature must compile: a placeholder feature that
+# nobody builds rots silently (the old `serde` stubs did).
+echo "==> cargo check (all features, offline)"
+cargo check --workspace --all-features --offline
+
+# Intra-doc links are part of the API docs; a renamed or deleted item
+# must not leave a dangling link behind.
+echo "==> cargo doc (broken intra-doc links are errors)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -3,8 +3,7 @@
 //! exported `.cam` bytes — is identical at every thread count.
 
 use ca_core::{
-    characterize_library_robust_with, characterize_library_with, export_cam, CharCache, Executor,
-    FaultPolicy, RobustOutcome,
+    characterize_library_robust_with, export_cam, CharCache, Executor, FaultPolicy, RobustOutcome,
 };
 use ca_defects::GenerateOptions;
 use ca_netlist::corrupt::salt_library;
@@ -108,14 +107,19 @@ fn plain_characterization_is_identical_across_thread_counts() {
         lib
     };
     let options = GenerateOptions::default();
+    // The plain conventional flow: fail fast, no budget caps.
     let run = |threads| {
-        characterize_library_with(
+        let outcome = characterize_library_robust_with(
             &lib,
             options,
+            &SimBudget::unlimited(),
+            FaultPolicy::FailFast,
             &Executor::with_threads(threads),
             &CharCache::new(),
         )
-        .unwrap()
+        .unwrap();
+        let summary = outcome.summary(lib.technology.name());
+        (outcome.prepared, summary)
     };
     let (serial, serial_summary) = run(1);
     let (parallel, parallel_summary) = run(8);

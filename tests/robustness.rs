@@ -4,13 +4,32 @@
 //! rest still exports.
 
 use ca_core::{
-    characterize_library_robust, export_cam, export_cam_with, summarize, FailurePhase, FaultPolicy,
+    characterize_library_robust_with, export_cam, export_cam_with, CellService, CellVerdict,
+    CharCache, CoreError, Executor, FailurePhase, FaultPolicy, RobustOutcome,
 };
-use ca_defects::GenerateOptions;
+use ca_defects::{to_cam, GenerateOptions};
 use ca_netlist::corrupt::{salt_library, Corruption};
-use ca_netlist::library::{generate_library, LibraryConfig};
+use ca_netlist::library::{generate_library, Library, LibraryConfig};
 use ca_netlist::Technology;
+use ca_obs::clock::Deadline;
 use ca_sim::SimBudget;
+use std::time::Duration;
+
+/// The library driver on the `CA_THREADS` executor with a fresh cache.
+fn robust_run(
+    lib: &Library,
+    budget: &SimBudget,
+    policy: FaultPolicy,
+) -> Result<RobustOutcome, CoreError> {
+    characterize_library_robust_with(
+        lib,
+        GenerateOptions::default(),
+        budget,
+        policy,
+        &Executor::from_env(),
+        &CharCache::new(),
+    )
+}
 
 /// Phase + reason fragment each corruption must be diagnosed with.
 fn expected_diagnosis(c: Corruption) -> (FailurePhase, &'static str) {
@@ -30,13 +49,7 @@ fn salted_library_quarantines_exactly_the_corrupted_cells() {
     let salted = salt_library(&mut lib, 5, 7);
     assert_eq!(salted.len(), 5, "salting must land all five corruptions");
 
-    let outcome = characterize_library_robust(
-        &lib,
-        GenerateOptions::default(),
-        &SimBudget::unlimited(),
-        FaultPolicy::SkipAndReport,
-    )
-    .unwrap();
+    let outcome = robust_run(&lib, &SimBudget::unlimited(), FaultPolicy::SkipAndReport).unwrap();
 
     // The acceptance shape: 20 cells in, 5 quarantined, 15 healthy out.
     assert_eq!(
@@ -82,9 +95,9 @@ fn salted_library_quarantines_exactly_the_corrupted_cells() {
     assert_eq!(exported.len(), 15);
 
     // The summary reflects the robust run.
-    let mut summary = summarize(lib.technology.name(), &outcome.prepared);
-    summary.quarantined = outcome.quarantine.len();
+    let summary = outcome.summary(lib.technology.name());
     assert_eq!(summary.num_cells, 15);
+    assert_eq!(summary.quarantined, 5);
     assert!(summary.mean_coverage > 0.4);
     assert!(summary.render().contains("5 quarantined"));
 
@@ -105,13 +118,7 @@ fn robust_characterization_is_deterministic() {
         let mut lib = generate_library(&LibraryConfig::quick(Technology::C28));
         lib.cells.truncate(20);
         salt_library(&mut lib, 5, 7);
-        characterize_library_robust(
-            &lib,
-            GenerateOptions::default(),
-            &SimBudget::unlimited(),
-            FaultPolicy::SkipAndReport,
-        )
-        .unwrap()
+        robust_run(&lib, &SimBudget::unlimited(), FaultPolicy::SkipAndReport).unwrap()
     };
     let a = build();
     let b = build();
@@ -130,13 +137,7 @@ fn fail_fast_stops_on_the_first_corrupted_cell() {
     let mut lib = generate_library(&LibraryConfig::quick(Technology::C28));
     lib.cells.truncate(20);
     salt_library(&mut lib, 5, 7);
-    let err = characterize_library_robust(
-        &lib,
-        GenerateOptions::default(),
-        &SimBudget::unlimited(),
-        FaultPolicy::FailFast,
-    )
-    .unwrap_err();
+    let err = robust_run(&lib, &SimBudget::unlimited(), FaultPolicy::FailFast).unwrap_err();
     // Whatever the first corrupted cell is, the error must carry a
     // cell-specific message rather than a generic one.
     assert!(err.to_string().contains('`'), "{err}");
@@ -153,13 +154,7 @@ fn retry_produces_degraded_models_that_export_only_on_opt_in() {
         wall_clock: Some(std::time::Duration::ZERO),
         ..SimBudget::unlimited()
     };
-    let outcome = characterize_library_robust(
-        &lib,
-        GenerateOptions::default(),
-        &budget,
-        FaultPolicy::RetryWithReducedBudget(1),
-    )
-    .unwrap();
+    let outcome = robust_run(&lib, &budget, FaultPolicy::RetryWithReducedBudget(1)).unwrap();
     assert!(
         outcome.quarantine.is_empty(),
         "{}",
@@ -177,4 +172,56 @@ fn retry_produces_degraded_models_that_export_only_on_opt_in() {
         assert!(name.ends_with(".cam"));
         assert!(text.contains("degraded"), "{name} lacks the degraded mark");
     }
+}
+
+/// One cell's verdict from either front end: the model's `.cam` bytes
+/// (degraded marker included), or the quarantine `(phase, reason,
+/// retries)`.
+type Verdict = Result<String, (FailurePhase, String, u32)>;
+
+#[test]
+fn batch_and_service_agree_on_every_cell() {
+    let mut lib = generate_library(&LibraryConfig::quick(Technology::C28));
+    lib.cells.truncate(20);
+    assert_eq!(salt_library(&mut lib, 5, 7).len(), 5);
+    let dir = std::env::temp_dir().join(format!("ca-agreement-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // Unlimited, and a zero wall clock that sends every cell that
+    // survives lint through the reduced-budget retry path.
+    let strangled = SimBudget {
+        wall_clock: Some(Duration::ZERO),
+        ..SimBudget::unlimited()
+    };
+    for (i, budget) in [SimBudget::unlimited(), strangled].into_iter().enumerate() {
+        let batch = robust_run(&lib, &budget, FaultPolicy::RetryWithReducedBudget(2)).unwrap();
+        assert_eq!(batch.quarantine.len(), 5, "{}", batch.quarantine.render());
+        assert_eq!(batch.degraded_count(), i * 15, "healthy cells retried");
+        let mut models = batch.prepared.iter();
+        let store = dir.join(format!("agreement-{i}.caj"));
+        let _ = std::fs::remove_file(&store);
+        let service =
+            CellService::open(&store, &lib, GenerateOptions::default(), budget, 2).unwrap();
+        for lc in &lib.cells {
+            let name = lc.cell.name();
+            let from_batch: Verdict = match batch.quarantine.entry(name) {
+                Some(e) => Err((e.phase, e.reason.clone(), e.retries)),
+                None => {
+                    let p = models.next().filter(|p| p.cell.name() == name).unwrap();
+                    Ok(to_cam(p.model.as_ref().unwrap()))
+                }
+            };
+            let from_service: Verdict = match service.characterize_cell(&lc.cell, Deadline::never())
+            {
+                CellVerdict::Model(p) => Ok(to_cam(p.model.as_ref().unwrap())),
+                CellVerdict::Quarantined {
+                    phase,
+                    reason,
+                    retries,
+                } => Err((phase, reason, retries)),
+                CellVerdict::DeadlineExceeded => panic!("{name}: no deadline was set"),
+            };
+            assert_eq!(from_batch, from_service, "budget {i}, cell {name}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
