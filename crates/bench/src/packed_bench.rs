@@ -24,7 +24,7 @@ use ca_core::{export_cam, PreparedCell};
 use ca_defects::{DefectUniverse, DetectionTable, GenerateOptions};
 use ca_netlist::library::generate_library;
 use ca_netlist::{Cell, Technology};
-use ca_sim::{set_packed_override, DetectionPolicy, PackedStimulus, Stimulus};
+use ca_sim::{set_packed_override, CellKernel, DetectionPolicy, Golden, PackedStimulus, Stimulus};
 use std::time::Instant;
 
 /// Measured numbers of one packed-vs-scalar run.
@@ -169,7 +169,7 @@ pub fn run(profile: Profile) -> PackedBench {
     {
         let w = &workloads[0];
         let _ = DetectionTable::generate_scalar(&w.cell, &w.universe, &w.stimuli, policy);
-        let _ = DetectionTable::generate_packed(&w.cell, &w.universe, &w.stimuli, policy);
+        let _ = packed_table(w, policy);
     }
 
     let scalar_start = Instant::now();
@@ -181,17 +181,7 @@ pub fn run(profile: Profile) -> PackedBench {
 
     let before = ca_obs::global().snapshot();
     let packed_start = Instant::now();
-    let packed: Vec<DetectionTable> = workloads
-        .iter()
-        .map(|w| {
-            DetectionTable::generate_packed(&w.cell, &w.universe, &w.stimuli, policy)
-                .unwrap_or_else(|| {
-                    // Kernel declined (oversized cell): the flow would
-                    // fall back to the scalar path, so the bench does too.
-                    DetectionTable::generate_scalar(&w.cell, &w.universe, &w.stimuli, policy)
-                })
-        })
-        .collect();
+    let packed: Vec<DetectionTable> = workloads.iter().map(|w| packed_table(w, policy)).collect();
     let packed_s = packed_start.elapsed().as_secs_f64();
     let delta = ca_obs::global().snapshot().delta(&before);
     let counter = |name: &str| delta.counters.get(name).map(|&(_, v)| v).unwrap_or(0);
@@ -237,6 +227,20 @@ pub fn run(profile: Profile) -> PackedBench {
 /// # Panics
 ///
 /// Panics on any characterization failure or any differing document.
+/// One cold packed table: kernel compile, golden solve and every
+/// defect. A declined (oversized) cell takes the scalar path, as the
+/// flow would.
+fn packed_table(w: &Workload, policy: DetectionPolicy) -> DetectionTable {
+    match CellKernel::compile(&w.cell) {
+        Some(kernel) => DetectionTable::generate_packed(
+            &Golden::solve(kernel, w.stimuli.clone()),
+            &w.universe,
+            policy,
+        ),
+        None => DetectionTable::generate_scalar(&w.cell, &w.universe, &w.stimuli, policy),
+    }
+}
+
 fn cam_byte_identity(cells: &[ca_netlist::library::LibraryCell]) -> (usize, bool) {
     let characterize = |packed: bool| -> Vec<(String, String)> {
         set_packed_override(Some(packed));

@@ -13,10 +13,10 @@
 
 use crate::error::CoreError;
 use ca_netlist::{Cell, MosKind, TransistorId};
-use ca_sim::packed::{PackedSim, PackedStimulus};
-use ca_sim::{CellKernel, Injection, Simulator, Stimulus, Value, Wave};
+use ca_sim::{Golden, Simulator, Stimulus, Value, Wave};
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// A `2^n`-bit activity bit string, MSB first (paper Table II).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -94,7 +94,7 @@ impl fmt::Display for ActivityValue {
 /// activity values for one cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Activation {
-    stimuli: Vec<Stimulus>,
+    stimuli: Arc<[Stimulus]>,
     output_waves: Vec<Wave>,
     transistor_waves: Vec<Vec<Wave>>,
     activity_values: Vec<ActivityValue>,
@@ -129,15 +129,47 @@ impl Activation {
         // The packed engine evaluates 64 stimuli per solver pass
         // (DESIGN.md §12) and produces bit-identical waves; the scalar
         // path remains as the fallback and the differential reference.
-        let packed = if ca_sim::packed_enabled() {
-            Activation::golden_waves_packed(cell, &stimuli)
-        } else {
-            None
-        };
-        let (output_waves, transistor_waves) = match packed {
-            Some(waves) => waves?,
-            None => Activation::golden_waves_scalar(cell, &stimuli)?,
-        };
+        match ca_sim::packed_kernel(cell) {
+            Some(kernel) => Activation::from_golden(cell, &Golden::solve(kernel, stimuli)),
+            None => {
+                let (output_waves, transistor_waves) =
+                    Activation::golden_waves_scalar(cell, &stimuli)?;
+                Ok(Activation::from_waves(
+                    cell,
+                    stimuli.into(),
+                    output_waves,
+                    transistor_waves,
+                ))
+            }
+        }
+    }
+
+    /// Extracts the activation from a golden solve the caller already
+    /// holds ([`Golden::solve`], or a [`Golden::solve_checked`] that
+    /// passed): no second compile, no second solve.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::GoldenNotBinary`] when the defect-free cell
+    /// does not settle to binary values.
+    pub(crate) fn from_golden(cell: &Cell, golden: &Golden) -> Result<Activation, CoreError> {
+        let (output_waves, transistor_waves) = Activation::golden_waves_packed(cell, golden)?;
+        Ok(Activation::from_waves(
+            cell,
+            Arc::clone(golden.stimuli()),
+            output_waves,
+            transistor_waves,
+        ))
+    }
+
+    /// Assembles the activation from per-stimulus golden waves, deriving
+    /// the activity values from the leading static stimuli.
+    fn from_waves(
+        cell: &Cell,
+        stimuli: Arc<[Stimulus]>,
+        output_waves: Vec<Wave>,
+        transistor_waves: Vec<Vec<Wave>>,
+    ) -> Activation {
         // Activity values from the leading static stimuli. The paper's
         // Table II orders rows with input A as the MSB of the pattern
         // (00, 01, 10, 11 over A,B); our static stimulus index uses input
@@ -156,12 +188,12 @@ impl Activation {
                 .collect();
             activity_values.push(ActivityValue::new(bits));
         }
-        Ok(Activation {
+        Activation {
             stimuli,
             output_waves,
             transistor_waves,
             activity_values,
-        })
+        }
     }
 
     /// Scalar golden pass: one simulator run per stimulus, collecting the
@@ -193,29 +225,25 @@ impl Activation {
         Ok((output_waves, transistor_waves))
     }
 
-    /// Packed golden pass: 64 stimuli per solver pass. `None` when the
-    /// kernel compiler declines the cell. Non-binary nets raise
+    /// Packed golden pass over `golden`'s blocks. Non-binary nets raise
     /// [`CoreError::GoldenNotBinary`] for the first offending stimulus,
     /// checking the output first and then the gates in transistor-id
     /// order — the exact error the scalar pass reports.
     #[allow(clippy::type_complexity)]
     fn golden_waves_packed(
         cell: &Cell,
-        stimuli: &[Stimulus],
-    ) -> Option<Result<(Vec<Wave>, Vec<Vec<Wave>>), CoreError>> {
-        let kernel = CellKernel::compile(cell)?;
-        let packed = PackedStimulus::pack(cell.num_inputs(), stimuli);
-        let sim = PackedSim::new(&kernel, Injection::None, None);
+        golden: &Golden,
+    ) -> Result<(Vec<Wave>, Vec<Vec<Wave>>), CoreError> {
         let out_net = cell.output().index();
         let gates: Vec<(usize, MosKind)> = cell
             .transistor_ids()
             .map(|(_, t)| (t.gate().index(), t.kind()))
             .collect();
-        let mut output_waves = Vec::with_capacity(stimuli.len());
-        let mut transistor_waves = Vec::with_capacity(stimuli.len());
+        let n_stimuli = golden.stimuli().len();
+        let mut output_waves = Vec::with_capacity(n_stimuli);
+        let mut transistor_waves = Vec::with_capacity(n_stimuli);
         let mut si = 0usize;
-        for block in packed.blocks() {
-            let result = sim.run_block(block);
+        for (block, result) in golden.packed().blocks().iter().zip(golden.blocks()) {
             for lane in 0..block.occupancy() {
                 let wave_of = |net: usize| -> Option<Wave> {
                     let level = |v: Value| match v {
@@ -231,24 +259,17 @@ impl Activation {
                     cell: cell.name().to_string(),
                     stimulus: si,
                 };
-                let out = match wave_of(out_net) {
-                    Some(w) => w,
-                    None => return Some(Err(not_binary())),
-                };
-                output_waves.push(out);
+                output_waves.push(wave_of(out_net).ok_or_else(not_binary)?);
                 let mut per_t = Vec::with_capacity(gates.len());
                 for &(gate_net, kind) in &gates {
-                    let gate_wave = match wave_of(gate_net) {
-                        Some(w) => w,
-                        None => return Some(Err(not_binary())),
-                    };
+                    let gate_wave = wave_of(gate_net).ok_or_else(not_binary)?;
                     per_t.push(activity_wave(kind, gate_wave));
                 }
                 transistor_waves.push(per_t);
                 si += 1;
             }
         }
-        Some(Ok((output_waves, transistor_waves)))
+        Ok((output_waves, transistor_waves))
     }
 
     /// The stimuli the activation was extracted against.

@@ -38,10 +38,10 @@
 
 use crate::canonical::CanonicalCell;
 use crate::error::CoreError;
-use crate::matrix::PreparedCell;
+use crate::matrix::{conventional_model, PreparedCell};
 use ca_defects::{BitRow, CaModel, DefectClass, DefectId, DefectUniverse, GenerateOptions};
 use ca_netlist::{Cell, NetId, Terminal, TransistorId};
-use ca_sim::{DetectionPolicy, Injection, SimBudget};
+use ca_sim::{BudgetClock, DetectionPolicy, Golden, Injection, SimBudget};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -270,7 +270,8 @@ impl CharCache {
     }
 
     /// Drop-in replacement for [`PreparedCell::characterize`] that serves
-    /// structurally identical cells from the cache.
+    /// structurally identical cells from the cache. The golden is solved
+    /// once: it feeds the activation and, on a miss, the detection table.
     ///
     /// # Errors
     ///
@@ -280,15 +281,18 @@ impl CharCache {
         cell: Cell,
         options: GenerateOptions,
     ) -> Result<PreparedCell, CoreError> {
-        let mut prepared = PreparedCell::prepare(cell)?;
+        let golden = PreparedCell::plain_golden(&cell)?;
+        let mut prepared = PreparedCell::prepare_with(cell, golden.as_ref())?;
         let model = self.resolve(&prepared, options, |cell| {
-            Ok(CaModel::generate(cell, options))
+            Ok(conventional_model(cell, options, golden.as_ref()))
         })?;
         prepared.model = Some(model);
         Ok(prepared)
     }
 
-    /// Budget-aware variant used by the robust driver. The cache only
+    /// Budget-aware variant used by the robust pipeline, inside one
+    /// attempt timed by `clock` and reusing the attempt's checked golden
+    /// pre-flight (`None` on the scalar path). The cache only
     /// participates when the budget cannot change the *result* of a
     /// successful run — i.e. no stimulus/defect truncation and no solver
     /// iteration cap. A pure wall-clock deadline is fine: a hit does
@@ -297,25 +301,31 @@ impl CharCache {
     /// # Errors
     ///
     /// Exactly those of [`PreparedCell::characterize_budgeted`].
-    pub fn characterize_budgeted(
+    pub(crate) fn characterize_budgeted(
         &self,
         cell: Cell,
         options: GenerateOptions,
         budget: &SimBudget,
+        clock: &BudgetClock,
+        golden: Option<&Golden>,
     ) -> Result<PreparedCell, CoreError> {
         if truncating(budget) {
             self.note_bypassed();
-            return PreparedCell::characterize_budgeted(cell, options, budget);
+            return PreparedCell::characterize_budgeted_with(cell, options, budget, clock, golden);
         }
-        let mut prepared = match PreparedCell::prepare(cell.clone()) {
+        let mut prepared = match PreparedCell::prepare_with(cell.clone(), golden) {
             Ok(p) => p,
             // Preserve the budgeted path's error precedence (it generates
             // before preparing): re-run it cold so e.g. a wall-clock
             // expiry surfaces ahead of a multi-output rejection.
-            Err(_) => return PreparedCell::characterize_budgeted(cell, options, budget),
+            Err(_) => {
+                return PreparedCell::characterize_budgeted_with(
+                    cell, options, budget, clock, golden,
+                )
+            }
         };
         let model = self.resolve(&prepared, options, |cell| {
-            CaModel::generate_budgeted(cell, options, budget)
+            CaModel::generate_budgeted(cell, options, budget, clock, golden)
                 .map_err(|e| CoreError::from_sim(cell.name(), e))
         })?;
         // The budgeted flow aligns the universe with the model's.
@@ -859,6 +869,22 @@ MN1 Z B VSS VSS nch
         );
     }
 
+    /// The robust pipeline's call: one clock for the attempt, and the
+    /// checked golden pre-flight handed to the cache.
+    fn preflighted(
+        cache: &CharCache,
+        cell: Cell,
+        opts: GenerateOptions,
+        budget: &SimBudget,
+    ) -> Result<PreparedCell, CoreError> {
+        let clock = budget.start();
+        let golden = ca_sim::packed_kernel(&cell).map(|kernel| {
+            let stimuli = ca_sim::Stimulus::all(cell.num_inputs());
+            Golden::solve_checked(&cell, kernel, stimuli, budget, &clock).unwrap()
+        });
+        cache.characterize_budgeted(cell, opts, budget, &clock, golden.as_ref())
+    }
+
     #[test]
     fn inter_transistor_shorts_remap_through_the_net_bijection() {
         let opts = GenerateOptions {
@@ -876,9 +902,7 @@ MN1 Z B VSS VSS nch
             assert_eq!(served.model, cold.model);
             // The budgeted path also aligns the universe with the model's,
             // which carries the inter-transistor shorts.
-            let served = budgeted
-                .characterize_budgeted(cell(), opts, &budget)
-                .unwrap();
+            let served = preflighted(&budgeted, cell(), opts, &budget).unwrap();
             assert_eq!(budgeted.stats().hits, hits, "{:?}", budgeted.stats());
             let cold = PreparedCell::characterize_budgeted(cell(), opts, &budget).unwrap();
             assert_eq!(served.model, cold.model);
@@ -894,9 +918,7 @@ MN1 Z B VSS VSS nch
             max_defects: Some(4),
             ..SimBudget::unlimited()
         };
-        let p = cache
-            .characterize_budgeted(spice::parse_cell(NAND2).unwrap(), opts, &budget)
-            .unwrap();
+        let p = preflighted(&cache, spice::parse_cell(NAND2).unwrap(), opts, &budget).unwrap();
         assert!(p.model.as_ref().unwrap().degraded);
         let stats = cache.stats();
         assert_eq!(stats.bypassed, 1);
@@ -908,12 +930,14 @@ MN1 Z B VSS VSS nch
         let cache = CharCache::new();
         let opts = GenerateOptions::default();
         let budget = SimBudget::unlimited();
-        cache
-            .characterize_budgeted(spice::parse_cell(NAND2).unwrap(), opts, &budget)
-            .unwrap();
-        let hit = cache
-            .characterize_budgeted(spice::parse_cell(NAND2_SHUFFLED).unwrap(), opts, &budget)
-            .unwrap();
+        preflighted(&cache, spice::parse_cell(NAND2).unwrap(), opts, &budget).unwrap();
+        let hit = preflighted(
+            &cache,
+            spice::parse_cell(NAND2_SHUFFLED).unwrap(),
+            opts,
+            &budget,
+        )
+        .unwrap();
         assert_eq!(cache.stats().hits, 1, "{:?}", cache.stats());
         let cold =
             PreparedCell::characterize(spice::parse_cell(NAND2_SHUFFLED).unwrap(), opts).unwrap();

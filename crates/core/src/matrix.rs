@@ -22,7 +22,35 @@ use ca_defects::{BitRow, CaModel, DefectKind, DefectUniverse, GenerateOptions};
 use ca_ml::forest::PREDICT_BLOCK_ROWS;
 use ca_ml::{Classifier, Dataset};
 use ca_netlist::{Cell, Terminal};
-use ca_sim::{Injection, SimBudget};
+use ca_sim::{BudgetClock, Golden, Injection, SimBudget, Stimulus};
+
+/// Rejects cells the CA-matrix encoding cannot represent. The paper's
+/// CA-matrix has a single response column; the conventional flow
+/// (`CaModel::generate`) handles multi-output cells, the ML encoding
+/// does not.
+fn single_output(cell: &Cell) -> Result<(), CoreError> {
+    if cell.outputs().len() == 1 {
+        return Ok(());
+    }
+    Err(CoreError::Unsupported(format!(
+        "cell `{}` has {} outputs; the CA-matrix encoding is single-output",
+        cell.name(),
+        cell.outputs().len()
+    )))
+}
+
+/// The plain conventional model of `cell`, against `golden` when the
+/// caller holds one (see [`PreparedCell::plain_golden`]).
+pub(crate) fn conventional_model(
+    cell: &Cell,
+    options: GenerateOptions,
+    golden: Option<&Golden>,
+) -> CaModel {
+    match golden {
+        Some(golden) => CaModel::generate_packed(cell, golden, options),
+        None => CaModel::generate(cell, options),
+    }
+}
 
 /// Fixed column layout of a cell group's CA-matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,14 +137,16 @@ pub struct PreparedCell {
 
 impl PreparedCell {
     /// Prepares a *training* cell: runs the conventional flow to obtain
-    /// ground-truth labels.
+    /// ground-truth labels. The golden is solved once and feeds both the
+    /// activation and the detection table.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::GoldenNotBinary`] for invalid netlists.
     pub fn characterize(cell: Cell, options: GenerateOptions) -> Result<PreparedCell, CoreError> {
-        let mut prepared = PreparedCell::prepare(cell)?;
-        prepared.model = Some(CaModel::generate(&prepared.cell, options));
+        let golden = PreparedCell::plain_golden(&cell)?;
+        let mut prepared = PreparedCell::prepare_with(cell, golden.as_ref())?;
+        prepared.model = Some(conventional_model(&prepared.cell, options, golden.as_ref()));
         Ok(prepared)
     }
 
@@ -140,9 +170,24 @@ impl PreparedCell {
         options: GenerateOptions,
         budget: &SimBudget,
     ) -> Result<PreparedCell, CoreError> {
-        let model = CaModel::generate_budgeted(&cell, options, budget)
+        PreparedCell::characterize_budgeted_with(cell, options, budget, &budget.start(), None)
+    }
+
+    /// [`PreparedCell::characterize_budgeted`] inside a run timed by
+    /// `clock`, reusing the run's checked golden solve when it has one
+    /// (see [`CaModel::generate_budgeted`]). Generation runs before
+    /// preparation, so budget failures take precedence over prepare
+    /// errors.
+    pub(crate) fn characterize_budgeted_with(
+        cell: Cell,
+        options: GenerateOptions,
+        budget: &SimBudget,
+        clock: &BudgetClock,
+        golden: Option<&Golden>,
+    ) -> Result<PreparedCell, CoreError> {
+        let model = CaModel::generate_budgeted(&cell, options, budget, clock, golden)
             .map_err(|e| CoreError::from_sim(cell.name(), e))?;
-        let mut prepared = PreparedCell::prepare(cell)?;
+        let mut prepared = PreparedCell::prepare_with(cell, golden)?;
         prepared.universe = model.universe.clone();
         prepared.model = Some(model);
         Ok(prepared)
@@ -156,17 +201,21 @@ impl PreparedCell {
     ///
     /// Returns [`CoreError::GoldenNotBinary`] for invalid netlists.
     pub fn prepare(cell: Cell) -> Result<PreparedCell, CoreError> {
-        if cell.outputs().len() != 1 {
-            // The paper's CA-matrix has a single response column; the
-            // conventional flow (CaModel::generate) handles multi-output
-            // cells, the ML encoding does not.
-            return Err(CoreError::Unsupported(format!(
-                "cell `{}` has {} outputs; the CA-matrix encoding is single-output",
-                cell.name(),
-                cell.outputs().len()
-            )));
-        }
-        let activation = Activation::extract(&cell)?;
+        PreparedCell::prepare_with(cell, None)
+    }
+
+    /// [`PreparedCell::prepare`], extracting the activation from
+    /// `golden` when the caller already solved it over
+    /// [`ca_sim::Stimulus::all`] (and solving it here otherwise).
+    pub(crate) fn prepare_with(
+        cell: Cell,
+        golden: Option<&Golden>,
+    ) -> Result<PreparedCell, CoreError> {
+        single_output(&cell)?;
+        let activation = match golden {
+            Some(golden) => Activation::from_golden(&cell, golden)?,
+            None => Activation::extract(&cell)?,
+        };
         let canonical = CanonicalCell::build(&cell, &activation)?;
         let universe = DefectUniverse::intra_transistor(&cell);
         Ok(PreparedCell {
@@ -176,6 +225,21 @@ impl PreparedCell {
             universe,
             model: None,
         })
+    }
+
+    /// The golden solve the plain conventional flow shares between
+    /// activation extraction and the detection table: the natural
+    /// iteration bound with X-forcing, exactly what each solved on its
+    /// own. `None` on the scalar path.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Unsupported`] for multi-output cells, before any
+    /// simulation is spent on them.
+    pub(crate) fn plain_golden(cell: &Cell) -> Result<Option<Golden>, CoreError> {
+        single_output(cell)?;
+        Ok(ca_sim::packed_kernel(cell)
+            .map(|kernel| Golden::solve(kernel, Stimulus::all(cell.num_inputs()))))
     }
 
     /// The (inputs, transistors) group key used for training/inference

@@ -8,13 +8,16 @@
 //!
 //! 1. **Lint** — structural pre-flight ([`lint()`]); any error-level
 //!    finding quarantines the cell before a single simulation is spent.
-//! 2. **Golden** — the defect-free cell is simulated with oscillation
-//!    detection ([`Simulator::try_run`]); divergence becomes
-//!    [`CoreError::SolverDiverged`] instead of silent X-forcing.
+//! 2. **Golden** — the defect-free cell is solved once, on the packed
+//!    engine ([`Golden::solve_checked`]), with oscillation detection;
+//!    divergence becomes [`CoreError::SolverDiverged`] instead of silent
+//!    X-forcing. The scalar [`Simulator::try_run`] loop is the fallback
+//!    when `CA_PACKED` is off or the kernel compiler declines the cell.
 //! 3. **Prepare + Characterize** — canonicalization and budgeted model
-//!    generation through the [`CharCache`], wrapped in
+//!    generation through the [`CharCache`], both reading the golden of
+//!    stage 2 (no second compile or solve) and wrapped in
 //!    [`std::panic::catch_unwind`] so even a panicking cell only loses
-//!    itself.
+//!    itself. Stages 2–3 of one attempt share one wall clock.
 //! 4. **Retry** — a budget-exhausted cell is re-run under a
 //!    progressively reduced budget (halved defect universe, static-only
 //!    stimuli), so a partially characterized — *degraded* — model still
@@ -44,7 +47,7 @@ use ca_netlist::lint::{lint, Severity};
 use ca_netlist::Cell;
 use ca_obs::clock::Deadline;
 use ca_obs::Stopwatch;
-use ca_sim::{Injection, SimBudget, Simulator, Stimulus};
+use ca_sim::{BudgetClock, Golden, Injection, SimBudget, SimError, Simulator, Stimulus};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -500,7 +503,6 @@ fn characterize_cell_guarded(
     budget: &SimBudget,
     cache: &CharCache,
 ) -> Result<PreparedCell, (FailurePhase, CoreError)> {
-    let name = cell.name().to_string();
     // 1. Structural pre-flight: quarantine broken netlists before any
     // simulation effort is spent on them.
     if let Some(finding) = lint(cell)
@@ -511,46 +513,75 @@ fn characterize_cell_guarded(
         return Err((
             FailurePhase::Lint,
             CoreError::PrepareFailed {
-                cell: name,
+                cell: cell.name().to_string(),
                 source: finding.to_string(),
             },
         ));
     }
-    // 2. Golden sanity: the defect-free cell must converge under every
-    // stimulus. `try_run` surfaces oscillation and iteration exhaustion
-    // that `run` would silently X-force.
-    let sim = Simulator::with_budget(cell, Injection::None, budget);
+    // One wall clock per attempt: the golden pre-flight and the table
+    // spend the same `SimBudget::wall_clock`.
     let clock = budget.start();
-    for stimulus in Stimulus::all(cell.num_inputs()) {
+    // 2. Golden sanity: the defect-free cell must converge under every
+    // stimulus.
+    let golden = golden_preflight(cell, budget, &clock)
+        .map_err(|e| (FailurePhase::Golden, CoreError::from_sim(cell.name(), e)))?;
+    // 3+4. Prepare and characterize against that golden.
+    characterize_preflighted(cell, options, budget, &clock, golden.as_ref(), cache)
+}
+
+/// The golden pre-flight: every stimulus solved under `budget`'s
+/// iteration cap with oscillation and iteration exhaustion surfaced as
+/// errors (that `Simulator::run` would silently X-force), `clock`
+/// checked between stimuli or packed blocks. On the packed engine this
+/// is the cell's one golden solve, returned for activation extraction
+/// and the detection table to reuse; the scalar `try_run` loop is the
+/// fallback when `CA_PACKED` is off or the kernel compiler declines the
+/// cell (`Ok(None)`).
+fn golden_preflight(
+    cell: &Cell,
+    budget: &SimBudget,
+    clock: &BudgetClock,
+) -> Result<Option<Golden>, SimError> {
+    let stimuli = Stimulus::all(cell.num_inputs());
+    if let Some(kernel) = ca_sim::packed_kernel(cell) {
+        return Golden::solve_checked(cell, kernel, stimuli, budget, clock).map(Some);
+    }
+    let sim = Simulator::with_budget(cell, Injection::None, budget);
+    for stimulus in &stimuli {
         if clock.expired() {
-            return Err((
-                FailurePhase::Golden,
-                CoreError::BudgetExceeded {
-                    cell: name,
-                    resource: "wall clock".to_string(),
-                },
-            ));
+            return Err(SimError::BudgetExceeded {
+                resource: "wall clock",
+            });
         }
-        if let Err(e) = sim.try_run(&stimulus) {
-            return Err((FailurePhase::Golden, CoreError::from_sim(&name, e)));
-        }
+        sim.try_run(stimulus)?;
     }
-    // 3+4. Prepare and characterize, panic-isolated: a defective cell
-    // must only lose itself, never the batch.
-    match isolated(&name, || {
-        cache.characterize_budgeted(cell.clone(), options, budget)
-    }) {
-        Ok(p) => Ok(p),
-        Err(err) => {
-            let phase = match &err {
-                CoreError::SolverDiverged { .. } | CoreError::BudgetExceeded { .. } => {
-                    FailurePhase::Characterize
-                }
-                _ => FailurePhase::Prepare,
-            };
-            Err((phase, err))
-        }
-    }
+    Ok(None)
+}
+
+/// Stages 3 and 4 for a cell whose golden pre-flight passed: prepare and
+/// characterize through the cache, against `golden` and under the
+/// attempt's `clock`, panic-isolated — a defective cell must only lose
+/// itself, never the batch.
+fn characterize_preflighted(
+    cell: &Cell,
+    options: GenerateOptions,
+    budget: &SimBudget,
+    clock: &BudgetClock,
+    golden: Option<&Golden>,
+    cache: &CharCache,
+) -> Result<PreparedCell, (FailurePhase, CoreError)> {
+    isolated(cell.name(), || {
+        cache.characterize_budgeted(cell.clone(), options, budget, clock, golden)
+    })
+    .map_err(|err| {
+        let phase = match &err {
+            CoreError::SolverDiverged { .. } | CoreError::BudgetExceeded { .. } => {
+                FailurePhase::Characterize
+            }
+            _ => FailurePhase::Prepare,
+        };
+        (phase, err)
+    })
 }
 
 /// Runs `f` under [`catch_unwind`], converting a panic into
@@ -642,6 +673,36 @@ MN1 net0 B VSS VSS nch
         assert_eq!(err.0, FailurePhase::Golden);
         assert!(
             matches!(err.1, CoreError::SolverDiverged { .. }),
+            "{:?}",
+            err.1
+        );
+    }
+
+    #[test]
+    fn the_table_stage_checks_the_attempts_clock() {
+        // The pre-flight passed on a live clock; the same attempt's
+        // clock has run out by the table stage, so the table fails before
+        // its first faulty block instead of starting a clock of its own.
+        let cell = spice::parse_cell(NAND2).unwrap();
+        let unlimited = SimBudget::unlimited();
+        let golden = golden_preflight(&cell, &unlimited, &unlimited.start()).unwrap();
+        let expired = SimBudget {
+            wall_clock: Some(Duration::ZERO),
+            ..unlimited
+        }
+        .start();
+        let err = characterize_preflighted(
+            &cell,
+            GenerateOptions::default(),
+            &unlimited,
+            &expired,
+            golden.as_ref(),
+            &CharCache::new(),
+        )
+        .unwrap_err();
+        assert_eq!(err.0, FailurePhase::Characterize);
+        assert!(
+            matches!(&err.1, CoreError::BudgetExceeded { resource, .. } if resource == "wall clock"),
             "{:?}",
             err.1
         );

@@ -415,8 +415,14 @@ MN1 net0 B VSS VSS nch
             max_stimuli: Some(4),
             ..ca_sim::SimBudget::unlimited()
         };
-        let model = CaModel::generate_budgeted(&cell, GenerateOptions::default(), &budget)
-            .expect("truncation succeeds");
+        let model = CaModel::generate_budgeted(
+            &cell,
+            GenerateOptions::default(),
+            &budget,
+            &budget.start(),
+            None,
+        )
+        .expect("truncation succeeds");
         assert!(model.degraded);
         let text = to_cam(&model);
         assert!(text.lines().any(|l| l == "degraded"), "{text}");

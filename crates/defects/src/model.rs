@@ -12,7 +12,7 @@ use crate::classes::{equivalence_classes, Behavior, DefectClass};
 use crate::table::{BitRow, DetectionTable};
 use crate::universe::{DefectId, DefectUniverse};
 use ca_netlist::Cell;
-use ca_sim::{DetectionPolicy, SimBudget, SimError, Stimulus};
+use ca_sim::{BudgetClock, DetectionPolicy, Golden, SimBudget, SimError, Stimulus};
 
 /// Options of CA model generation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -21,6 +21,17 @@ pub struct GenerateOptions {
     pub policy: DetectionPolicy,
     /// Also enumerate inter-transistor net shorts.
     pub inter_transistor: bool,
+}
+
+impl GenerateOptions {
+    /// The defect universe these options enumerate for `cell`.
+    fn universe(self, cell: &Cell) -> DefectUniverse {
+        if self.inter_transistor {
+            DefectUniverse::with_inter_transistor(cell)
+        } else {
+            DefectUniverse::intra_transistor(cell)
+        }
+    }
 }
 
 /// A cell-aware model: the detection dictionary of one cell.
@@ -50,26 +61,25 @@ pub struct CaModel {
 impl CaModel {
     /// Runs the conventional (simulation-based) generation flow.
     pub fn generate(cell: &Cell, options: GenerateOptions) -> CaModel {
-        let universe = if options.inter_transistor {
-            DefectUniverse::with_inter_transistor(cell)
-        } else {
-            DefectUniverse::intra_transistor(cell)
-        };
+        let universe = options.universe(cell);
         let table = DetectionTable::generate_exhaustive(cell, &universe, options.policy);
-        let classes = equivalence_classes(&universe, &table);
-        CaModel {
-            cell_name: cell.name().to_string(),
-            num_inputs: cell.num_inputs(),
-            num_transistors: cell.num_transistors(),
-            rows: table.rows().to_vec(),
-            defect_simulations: table.defect_simulations(),
-            universe,
-            classes,
-            degraded: false,
-        }
+        CaModel::from_table(cell, universe, &table, false)
     }
 
-    /// Runs the conventional flow under a [`SimBudget`].
+    /// [`CaModel::generate`] on the packed engine, against the golden
+    /// solve of `cell` over [`Stimulus::all`] ([`Golden::solve`]) that
+    /// the caller already holds: no second compile, no second golden
+    /// solve.
+    pub fn generate_packed(cell: &Cell, golden: &Golden, options: GenerateOptions) -> CaModel {
+        let universe = options.universe(cell);
+        let table = DetectionTable::generate_packed(golden, &universe, options.policy);
+        CaModel::from_table(cell, universe, &table, false)
+    }
+
+    /// Runs the conventional flow under a [`SimBudget`] whose run is
+    /// timed by `clock`, reusing `golden` — the checked golden solve of
+    /// `cell` over [`Stimulus::all`] — when the caller holds one (see
+    /// [`DetectionTable::generate_budgeted`]).
     ///
     /// Truncating budgets (`max_stimuli`, `max_defects`) yield a valid
     /// but [`degraded`](CaModel::degraded) model covering the truncated
@@ -79,27 +89,53 @@ impl CaModel {
         cell: &Cell,
         options: GenerateOptions,
         budget: &SimBudget,
+        clock: &BudgetClock,
+        golden: Option<&Golden>,
     ) -> Result<CaModel, SimError> {
-        let universe = if options.inter_transistor {
-            DefectUniverse::with_inter_transistor(cell)
-        } else {
-            DefectUniverse::intra_transistor(cell)
+        let universe = options.universe(cell);
+        let all;
+        let stimuli = match golden {
+            Some(g) => &g.stimuli()[..],
+            None => {
+                all = Stimulus::all(cell.num_inputs());
+                &all
+            }
         };
-        let stimuli = Stimulus::all(cell.num_inputs());
-        let budgeted =
-            DetectionTable::generate_budgeted(cell, &universe, &stimuli, options.policy, budget)?;
+        let budgeted = DetectionTable::generate_budgeted(
+            cell,
+            &universe,
+            stimuli,
+            options.policy,
+            budget,
+            clock,
+            golden,
+        )?;
         let universe = universe.truncated(budgeted.defects_covered);
-        let classes = equivalence_classes(&universe, &budgeted.table);
-        Ok(CaModel {
+        Ok(CaModel::from_table(
+            cell,
+            universe,
+            &budgeted.table,
+            budgeted.degraded,
+        ))
+    }
+
+    /// The model of a simulated `table` over `universe`.
+    fn from_table(
+        cell: &Cell,
+        universe: DefectUniverse,
+        table: &DetectionTable,
+        degraded: bool,
+    ) -> CaModel {
+        CaModel {
             cell_name: cell.name().to_string(),
             num_inputs: cell.num_inputs(),
             num_transistors: cell.num_transistors(),
-            rows: budgeted.table.rows().to_vec(),
-            defect_simulations: budgeted.table.defect_simulations(),
+            rows: table.rows().to_vec(),
+            defect_simulations: table.defect_simulations(),
+            classes: equivalence_classes(&universe, table),
             universe,
-            classes,
-            degraded: budgeted.degraded,
-        })
+            degraded,
+        }
     }
 
     /// Builds a model from externally produced rows (e.g. ML predictions).
@@ -277,11 +313,49 @@ MN1 net0 B VSS VSS nch
     fn budgeted_generation_unlimited_matches_plain() {
         let cell = spice::parse_cell(NAND2).unwrap();
         let plain = CaModel::generate(&cell, GenerateOptions::default());
-        let budgeted =
-            CaModel::generate_budgeted(&cell, GenerateOptions::default(), &SimBudget::unlimited())
-                .expect("NAND2 characterizes");
+        let unlimited = SimBudget::unlimited();
+        let budgeted = CaModel::generate_budgeted(
+            &cell,
+            GenerateOptions::default(),
+            &unlimited,
+            &unlimited.start(),
+            None,
+        )
+        .expect("NAND2 characterizes");
         assert_eq!(plain, budgeted);
         assert!(!budgeted.degraded);
+    }
+
+    #[test]
+    fn a_held_golden_gives_the_cold_models() {
+        let cell = spice::parse_cell(NAND2).unwrap();
+        let options = GenerateOptions {
+            inter_transistor: true,
+            ..GenerateOptions::default()
+        };
+        let kernel = || ca_sim::CellKernel::compile(&cell).unwrap();
+        let stimuli = Stimulus::all(cell.num_inputs());
+        let plain = Golden::solve(kernel(), stimuli.clone());
+        assert_eq!(
+            CaModel::generate_packed(&cell, &plain, options),
+            CaModel::generate(&cell, options)
+        );
+        // Truncating budgets read a prefix of the held golden's lanes.
+        for budget in [
+            SimBudget::unlimited(),
+            SimBudget {
+                max_stimuli: Some(5),
+                max_defects: Some(7),
+                ..SimBudget::unlimited()
+            },
+        ] {
+            let clock = budget.start();
+            let checked =
+                Golden::solve_checked(&cell, kernel(), stimuli.clone(), &budget, &clock).unwrap();
+            let held = CaModel::generate_budgeted(&cell, options, &budget, &clock, Some(&checked));
+            let cold = CaModel::generate_budgeted(&cell, options, &budget, &clock, None);
+            assert_eq!(held, cold);
+        }
     }
 
     #[test]
@@ -292,8 +366,14 @@ MN1 net0 B VSS VSS nch
             max_defects: Some(12),
             ..SimBudget::unlimited()
         };
-        let model = CaModel::generate_budgeted(&cell, GenerateOptions::default(), &budget)
-            .expect("truncation is not an error");
+        let model = CaModel::generate_budgeted(
+            &cell,
+            GenerateOptions::default(),
+            &budget,
+            &budget.start(),
+            None,
+        )
+        .expect("truncation is not an error");
         assert!(model.degraded);
         assert_eq!(model.universe.len(), 12);
         assert_eq!(model.rows.len(), 12);
@@ -310,8 +390,14 @@ MN1 net0 B VSS VSS nch
             wall_clock: Some(std::time::Duration::ZERO),
             ..SimBudget::unlimited()
         };
-        let err = CaModel::generate_budgeted(&cell, GenerateOptions::default(), &budget)
-            .expect_err("zero deadline cannot finish");
+        let err = CaModel::generate_budgeted(
+            &cell,
+            GenerateOptions::default(),
+            &budget,
+            &budget.start(),
+            None,
+        )
+        .expect_err("zero deadline cannot finish");
         assert!(matches!(err, SimError::BudgetExceeded { .. }));
     }
 

@@ -4,13 +4,14 @@
 //! of the conventional flow, paper Fig. 1) and the source of the training
 //! labels of the ML flow.
 
-use crate::universe::{DefectId, DefectUniverse};
+use crate::universe::{Defect, DefectId, DefectUniverse};
 use ca_netlist::Cell;
-use ca_sim::packed::{detect_mask, PackedSim, PackedStimulus, PhaseOutcomes};
+use ca_sim::packed::{detect_mask, PackedSim, PackedStimulus};
 use ca_sim::{
-    CellKernel, DetectionPolicy, Injection, LaneOutcome, SimBudget, SimError, Simulator, Stimulus,
+    BudgetClock, DetectionPolicy, Golden, Injection, SimBudget, SimError, Simulator, Stimulus,
     Value,
 };
+use std::convert::Infallible;
 
 /// A packed bit row (one bit per stimulus).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -95,19 +96,22 @@ impl DetectionTable {
     /// The golden responses are simulated once and shared across defects.
     /// Uses the bit-parallel packed engine (64 stimuli per solver pass,
     /// DESIGN.md §12) when the `CA_PACKED` switch allows it and the cell
-    /// compiles to a [`CellKernel`]; results are bit-identical either way.
+    /// compiles to a [`CellKernel`](ca_sim::CellKernel); results are
+    /// bit-identical either way.
     pub fn generate(
         cell: &Cell,
         universe: &DefectUniverse,
         stimuli: &[Stimulus],
         policy: DetectionPolicy,
     ) -> DetectionTable {
-        if ca_sim::packed_enabled() {
-            if let Some(table) = DetectionTable::generate_packed(cell, universe, stimuli, policy) {
-                return table;
-            }
+        match ca_sim::packed_kernel(cell) {
+            Some(kernel) => DetectionTable::generate_packed(
+                &Golden::solve(kernel, stimuli.to_vec()),
+                universe,
+                policy,
+            ),
+            None => DetectionTable::generate_scalar(cell, universe, stimuli, policy),
         }
-        DetectionTable::generate_scalar(cell, universe, stimuli, policy)
     }
 
     /// The interpreted per-stimulus path of [`DetectionTable::generate`]
@@ -153,59 +157,41 @@ impl DetectionTable {
         }
     }
 
-    /// The bit-parallel path of [`DetectionTable::generate`]: stimuli are
-    /// transposed into 64-lane blocks, the golden blocks solved once, and
-    /// every defect evaluated word-parallel with cone restriction for
-    /// stuck-opens. Returns `None` when the kernel compiler declines the
-    /// cell (the caller falls back to the scalar path).
+    /// The bit-parallel path of [`DetectionTable::generate`] against an
+    /// already-solved golden ([`Golden::solve`]): every defect is
+    /// evaluated word-parallel over the golden's blocks, with cone
+    /// restriction for stuck-opens, and neither the kernel nor the golden
+    /// is built again.
     ///
     /// `defect_simulations` reports the *logical* simulation count
     /// (defects × stimuli), so the table compares equal to the scalar
     /// one.
     pub fn generate_packed(
-        cell: &Cell,
+        golden: &Golden,
         universe: &DefectUniverse,
-        stimuli: &[Stimulus],
         policy: DetectionPolicy,
-    ) -> Option<DetectionTable> {
-        let kernel = CellKernel::compile(cell)?;
-        let packed = PackedStimulus::pack(cell.num_inputs(), stimuli);
-        let outputs: Vec<usize> = cell.outputs().iter().map(|o| o.index()).collect();
-        let golden_sim = PackedSim::new(&kernel, Injection::None, None);
-        let golden: Vec<_> = packed
-            .blocks()
-            .iter()
-            .map(|b| golden_sim.run_block(b))
-            .collect();
-        let mut rows = Vec::with_capacity(universe.len());
-        for defect in universe.defects() {
-            let faulty = PackedSim::new(&kernel, defect.injection, None);
-            let open_t = match defect.injection {
-                Injection::Open { transistor, .. } => Some(transistor.index()),
-                _ => None,
-            };
-            let mut row = BitRow::zeros(stimuli.len());
-            let mut base = 0;
-            for (block, g) in packed.blocks().iter().zip(&golden) {
-                let f = faulty.run_block_against(block, g, open_t);
-                let mut mask = detect_mask(g, &f, &outputs, policy);
-                while mask != 0 {
-                    row.set(base + mask.trailing_zeros() as usize, true);
-                    mask &= mask - 1;
-                }
-                base += block.occupancy();
-            }
-            rows.push(row);
-        }
-        Some(DetectionTable {
-            stimuli: stimuli.to_vec(),
+    ) -> DetectionTable {
+        let n_stimuli = golden.stimuli().len();
+        // Unbudgeted: no check can stop the table.
+        let unchecked = || Ok::<(), Infallible>(());
+        let Ok(rows) = packed_rows(
+            golden,
+            universe.defects(),
+            n_stimuli,
+            policy,
+            None,
+            unchecked,
+        );
+        DetectionTable {
+            stimuli: golden.stimuli().to_vec(),
             rows,
             policy,
-            defect_simulations: universe.len() * stimuli.len(),
-        })
+            defect_simulations: universe.len() * n_stimuli,
+        }
     }
 
-    /// Like [`DetectionTable::generate`], but under a [`SimBudget`].
+    /// Like [`DetectionTable::generate`], but under a [`SimBudget`] whose
+    /// run is timed by `clock` (started once per run by the caller).
     ///
     /// Semantics:
     ///
@@ -217,9 +203,15 @@ impl DetectionTable {
     ///   a ring;
     /// - `max_stimuli` / `max_defects` truncate the work and mark the
     ///   result degraded;
-    /// - the wall-clock deadline is checked *between* defect-simulation
-    ///   stimuli (never mid-solve); expiry is
+    /// - `clock` is checked *between* stimuli or packed blocks (never
+    ///   mid-solve), golden and faulty alike; expiry is
     ///   [`SimError::BudgetExceeded`].
+    ///
+    /// `golden`, when given, is the checked golden solve of `cell` over
+    /// `stimuli` under the same `max_solver_iterations`
+    /// ([`Golden::solve_checked`]); the table then reuses its kernel and
+    /// blocks. Without one, the table solves (and checks) the golden
+    /// itself, on the packed engine when it is selected.
     ///
     /// On success, the table covers `universe.truncated(degraded
     /// defect count)` — callers align their universe with
@@ -230,21 +222,40 @@ impl DetectionTable {
         stimuli: &[Stimulus],
         policy: DetectionPolicy,
         budget: &SimBudget,
+        clock: &BudgetClock,
+        golden: Option<&Golden>,
     ) -> Result<BudgetedTable, SimError> {
         let n_stimuli = budget.clamp_stimuli(stimuli.len());
         let n_defects = budget.clamp_defects(universe.len());
         let degraded = n_stimuli < stimuli.len() || n_defects < universe.len();
         let stimuli = &stimuli[..n_stimuli];
-        let packed = if ca_sim::packed_enabled() {
-            DetectionTable::budgeted_packed(cell, universe, stimuli, n_defects, policy, budget)
-        } else {
-            None
+        let defects = &universe.defects()[..n_defects];
+        let solved;
+        let golden = match golden {
+            Some(g) => Some(g),
+            None => match ca_sim::packed_kernel(cell) {
+                Some(kernel) => {
+                    solved = Golden::solve_checked(cell, kernel, stimuli.to_vec(), budget, clock)?;
+                    Some(&solved)
+                }
+                None => None,
+            },
         };
-        let table = match packed {
-            Some(result) => result?,
-            None => {
-                DetectionTable::budgeted_scalar(cell, universe, stimuli, n_defects, policy, budget)?
-            }
+        let table = match golden {
+            Some(g) => DetectionTable {
+                stimuli: stimuli.to_vec(),
+                rows: packed_rows(
+                    g,
+                    defects,
+                    n_stimuli,
+                    policy,
+                    budget.max_solver_iterations,
+                    || check_clock(clock),
+                )?,
+                policy,
+                defect_simulations: n_defects * n_stimuli,
+            },
+            None => DetectionTable::budgeted_scalar(cell, defects, stimuli, policy, budget, clock)?,
         };
         Ok(BudgetedTable {
             table,
@@ -256,33 +267,29 @@ impl DetectionTable {
     /// Post-clamp scalar body of [`DetectionTable::generate_budgeted`].
     fn budgeted_scalar(
         cell: &Cell,
-        universe: &DefectUniverse,
+        defects: &[Defect],
         stimuli: &[Stimulus],
-        n_defects: usize,
         policy: DetectionPolicy,
         budget: &SimBudget,
+        clock: &BudgetClock,
     ) -> Result<DetectionTable, SimError> {
-        let clock = budget.start();
         let outputs = cell.outputs().to_vec();
         let golden_sim = Simulator::with_budget(cell, Injection::None, budget);
         let golden: Vec<Vec<Value>> = stimuli
             .iter()
             .map(|s| {
+                check_clock(clock)?;
                 let result = golden_sim.try_run(s)?;
                 Ok(outputs.iter().map(|&o| result.final_value(o)).collect())
             })
             .collect::<Result<_, SimError>>()?;
-        let mut rows = Vec::with_capacity(n_defects);
+        let mut rows = Vec::with_capacity(defects.len());
         let mut defect_simulations = 0;
-        for defect in &universe.defects()[..n_defects] {
+        for defect in defects {
             let faulty_sim = Simulator::with_budget(cell, defect.injection, budget);
             let mut row = BitRow::zeros(stimuli.len());
             for (i, stimulus) in stimuli.iter().enumerate() {
-                if clock.expired() {
-                    return Err(SimError::BudgetExceeded {
-                        resource: "wall clock",
-                    });
-                }
+                check_clock(clock)?;
                 let result = faulty_sim.run(stimulus);
                 defect_simulations += 1;
                 let detected = outputs
@@ -298,99 +305,6 @@ impl DetectionTable {
             rows,
             policy,
             defect_simulations,
-        })
-    }
-
-    /// Post-clamp packed body of [`DetectionTable::generate_budgeted`]:
-    /// the same semantics lane-by-lane — golden lanes are checked in
-    /// stimulus order and the first non-convergent one raises the same
-    /// [`SimError`] the scalar `try_run` would (phase-1 failures take
-    /// precedence per lane), the wall-clock deadline is checked between
-    /// defect blocks, and faulty lanes keep conservative X-forcing.
-    /// `None` means the kernel compiler declined the cell.
-    fn budgeted_packed(
-        cell: &Cell,
-        universe: &DefectUniverse,
-        stimuli: &[Stimulus],
-        n_defects: usize,
-        policy: DetectionPolicy,
-        budget: &SimBudget,
-    ) -> Option<Result<DetectionTable, SimError>> {
-        let kernel = CellKernel::compile(cell)?;
-        Some(DetectionTable::budgeted_packed_inner(
-            cell, &kernel, universe, stimuli, n_defects, policy, budget,
-        ))
-    }
-
-    fn budgeted_packed_inner(
-        cell: &Cell,
-        kernel: &CellKernel,
-        universe: &DefectUniverse,
-        stimuli: &[Stimulus],
-        n_defects: usize,
-        policy: DetectionPolicy,
-        budget: &SimBudget,
-    ) -> Result<DetectionTable, SimError> {
-        let clock = budget.start();
-        let packed = PackedStimulus::pack(cell.num_inputs(), stimuli);
-        let outputs: Vec<usize> = cell.outputs().iter().map(|o| o.index()).collect();
-        let golden_sim = PackedSim::new(kernel, Injection::None, budget.max_solver_iterations);
-        let mut golden = Vec::with_capacity(packed.blocks().len());
-        for block in packed.blocks() {
-            let result = golden_sim.run_block(block);
-            // Golden simulation must converge: surface the first failing
-            // lane, in stimulus order, exactly like the scalar `try_run`
-            // (a phase-1 failure wins over a phase-2 one per lane).
-            let mut lanes = block.lanes;
-            while lanes != 0 {
-                let lane = lanes.trailing_zeros() as usize;
-                lanes &= lanes - 1;
-                let p1 = result.p1.lane(lane);
-                if p1 != LaneOutcome::Converged {
-                    return Err(lane_error(cell, &result.p1, p1, lane));
-                }
-                if block.dynamic & (1u64 << lane) != 0 {
-                    let p2 = result.p2.lane(lane);
-                    if p2 != LaneOutcome::Converged {
-                        return Err(lane_error(cell, &result.p2, p2, lane));
-                    }
-                }
-            }
-            golden.push(result);
-        }
-        let mut rows = Vec::with_capacity(n_defects);
-        for defect in &universe.defects()[..n_defects] {
-            let faulty = PackedSim::new(kernel, defect.injection, budget.max_solver_iterations);
-            let open_t = match defect.injection {
-                Injection::Open { transistor, .. } => Some(transistor.index()),
-                _ => None,
-            };
-            let mut row = BitRow::zeros(stimuli.len());
-            let mut base = 0;
-            for (block, g) in packed.blocks().iter().zip(&golden) {
-                // The deadline is checked between blocks, never
-                // mid-solve; a zero deadline therefore fails before any
-                // faulty work, like the scalar per-stimulus check.
-                if clock.expired() {
-                    return Err(SimError::BudgetExceeded {
-                        resource: "wall clock",
-                    });
-                }
-                let f = faulty.run_block_against(block, g, open_t);
-                let mut mask = detect_mask(g, &f, &outputs, policy);
-                while mask != 0 {
-                    row.set(base + mask.trailing_zeros() as usize, true);
-                    mask &= mask - 1;
-                }
-                base += block.occupancy();
-            }
-            rows.push(row);
-        }
-        Ok(DetectionTable {
-            stimuli: stimuli.to_vec(),
-            rows,
-            policy,
-            defect_simulations: n_defects * stimuli.len(),
         })
     }
 
@@ -463,22 +377,63 @@ pub struct BudgetedTable {
     pub defects_covered: usize,
 }
 
-/// Builds the [`SimError`] a non-convergent golden lane raises, matching
-/// the scalar `try_run` error shape: oscillations name the unstable nets
-/// in net-index order, budget exhaustion names the solver-iterations
-/// resource.
-fn lane_error(cell: &Cell, outcomes: &PhaseOutcomes, class: LaneOutcome, lane: usize) -> SimError {
-    match class {
-        LaneOutcome::Oscillated => SimError::Oscillated {
-            nets: (0..cell.nets().len())
-                .filter(|&i| outcomes.unstable[i] & (1u64 << lane) != 0)
-                .map(|i| cell.nets()[i].name().to_string())
-                .collect(),
-        },
-        _ => SimError::BudgetExceeded {
-            resource: "solver iterations",
-        },
+/// `BudgetExceeded` (`"wall clock"`) once `clock` has expired.
+fn check_clock(clock: &BudgetClock) -> Result<(), SimError> {
+    if clock.expired() {
+        Err(SimError::BudgetExceeded {
+            resource: "wall clock",
+        })
+    } else {
+        Ok(())
     }
+}
+
+/// Detection rows of `defects` against `golden` over its first
+/// `n_stimuli` stimuli, faulty lanes solved under `max_iterations` with
+/// cone restriction for stuck-opens. `check` runs before every (defect,
+/// block) unit, never mid-solve, so a failing check stops the table
+/// before the next faulty block runs.
+fn packed_rows<E>(
+    golden: &Golden,
+    defects: &[Defect],
+    n_stimuli: usize,
+    policy: DetectionPolicy,
+    max_iterations: Option<usize>,
+    mut check: impl FnMut() -> Result<(), E>,
+) -> Result<Vec<BitRow>, E> {
+    let kernel = golden.kernel();
+    // A truncated stimulus prefix gets its own (shorter) blocks; the
+    // golden's blocks still hold the right lanes, lane by lane.
+    let truncated;
+    let packed = if n_stimuli == golden.stimuli().len() {
+        golden.packed()
+    } else {
+        truncated = PackedStimulus::pack(kernel.n_inputs(), &golden.stimuli()[..n_stimuli]);
+        &truncated
+    };
+    let outputs = kernel.outputs();
+    let mut rows = Vec::with_capacity(defects.len());
+    for defect in defects {
+        let faulty = PackedSim::new(kernel, defect.injection, max_iterations);
+        let open_t = match defect.injection {
+            Injection::Open { transistor, .. } => Some(transistor.index()),
+            _ => None,
+        };
+        let mut row = BitRow::zeros(n_stimuli);
+        let mut base = 0;
+        for (block, g) in packed.blocks().iter().zip(golden.blocks()) {
+            check()?;
+            let f = faulty.run_block_against(block, g, open_t);
+            let mut mask = detect_mask(g, &f, outputs, policy) & block.lanes;
+            while mask != 0 {
+                row.set(base + mask.trailing_zeros() as usize, true);
+                mask &= mask - 1;
+            }
+            base += block.occupancy();
+        }
+        rows.push(row);
+    }
+    Ok(rows)
 }
 
 /// Convenience: simulate a single injection against `stimuli` (used by
@@ -572,6 +527,8 @@ MN1 net0 B VSS VSS nch
             &stimuli,
             policy,
             &SimBudget::unlimited(),
+            &SimBudget::unlimited().start(),
+            None,
         )
         .expect("NAND2 characterizes");
         assert!(!budgeted.degraded);
@@ -595,6 +552,8 @@ MN1 net0 B VSS VSS nch
             &stimuli,
             DetectionPolicy::default(),
             &budget,
+            &budget.start(),
+            None,
         )
         .expect("truncation is not an error");
         assert!(b.degraded);
@@ -618,6 +577,8 @@ MN1 net0 B VSS VSS nch
             &Stimulus::all(2),
             DetectionPolicy::default(),
             &budget,
+            &budget.start(),
+            None,
         )
         .expect_err("zero deadline expires before the first stimulus");
         assert_eq!(

@@ -27,9 +27,12 @@ pub struct SimBudget {
     /// Cap on the number of defects characterized per cell. Exceeding it
     /// truncates the defect universe and marks the result degraded.
     pub max_defects: Option<usize>,
-    /// Wall-clock deadline for the whole per-cell run. Checked *between*
-    /// stimuli, never mid-solve, so results stay deterministic in shape:
-    /// a run either finishes or reports `BudgetExceeded`.
+    /// Wall-clock deadline for the whole per-cell run: one
+    /// [`BudgetClock`] is started per run and every stage of it (the
+    /// golden pre-flight, the detection table) checks that same clock.
+    /// Checked *between* stimuli or packed blocks, never mid-solve, so
+    /// results stay deterministic in shape: a run either finishes or
+    /// reports `BudgetExceeded`.
     pub wall_clock: Option<Duration>,
 }
 
@@ -50,7 +53,8 @@ impl SimBudget {
         }
     }
 
-    /// Starts the wall clock for one per-cell run.
+    /// Starts the wall clock for one per-cell run; the run's stages
+    /// share it rather than each starting their own.
     pub fn start(&self) -> BudgetClock {
         BudgetClock {
             deadline: self.wall_clock.map_or(Deadline::never(), Deadline::after),

@@ -12,6 +12,9 @@
 //!   ([`solver::CellGraph`]);
 //! - first-class defect injection ([`Injection`]): terminal opens,
 //!   terminal-terminal shorts and net-net shorts;
+//! - one packed golden solve per cell ([`Golden`]), shared by the
+//!   convergence pre-flight, activation extraction and every defect's
+//!   detection row;
 //! - detection semantics via [`DetectionPolicy`], distinguishing driven
 //!   conflicts ([`Value::Xd`]) from floating unknowns ([`Value::Xf`]) so
 //!   that stuck-open defects require two-pattern tests, exactly as in
@@ -41,6 +44,7 @@
 //! ```
 
 pub mod budget;
+pub mod golden;
 pub mod injection;
 pub mod kernel;
 pub mod packed;
@@ -49,11 +53,12 @@ pub mod solver;
 pub mod values;
 
 pub use budget::{BudgetClock, SimBudget, SimError};
+pub use golden::Golden;
 pub use injection::Injection;
 pub use kernel::CellKernel;
 pub use packed::{
-    packed_enabled, set_packed_override, BlockResult, LaneOutcome, PackedSim, PackedStimulus,
-    PackedValue, StimulusBlock,
+    packed_enabled, packed_kernel, set_packed_override, BlockResult, LaneOutcome, PackedSim,
+    PackedStimulus, PackedValue, StimulusBlock,
 };
 pub use simulator::{detection_row, detection_row_scalar, DetectionPolicy, SimResult, Simulator};
 pub use solver::SolveOutcome;

@@ -813,6 +813,17 @@ pub fn packed_enabled() -> bool {
     }
 }
 
+/// The kernel the packed engine runs `cell` on: `None` when the switch
+/// is off ([`packed_enabled`]) or the compiler declines the cell — that
+/// is, whenever the caller must take the scalar path.
+pub fn packed_kernel(cell: &Cell) -> Option<CellKernel> {
+    if packed_enabled() {
+        CellKernel::compile(cell)
+    } else {
+        None
+    }
+}
+
 /// Packed implementation of [`detection_row`](crate::detection_row):
 /// golden blocks solved once, every lane of every block compared under
 /// `policy`, with cone restriction for `Open` injections. Returns

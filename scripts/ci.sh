@@ -29,6 +29,18 @@ CA_THREADS=1 cargo test -q --test packed_equivalence --offline
 echo "==> packed equivalence (packed vs scalar, CA_THREADS=4)"
 CA_THREADS=4 cargo test -q --test packed_equivalence --offline
 
+# The golden pre-flight solves each cell once on the packed engine and
+# hands that solve to activation extraction and the detection table; it
+# is only allowed to exist because every cell gets the scalar
+# pre-flight's verdict and bytes (DESIGN.md §17). Run the differential
+# suite optimized, at both packed settings and both thread counts.
+for packed in 0 1; do
+    for threads in 1 4; do
+        echo "==> golden pre-flight (packed vs scalar, release, CA_PACKED=$packed CA_THREADS=$threads)"
+        CA_PACKED=$packed CA_THREADS=$threads cargo test -q --release --offline --test golden_preflight
+    done
+done
+
 # Batched forest inference is only allowed to exist because it predicts
 # exactly what per-row prediction does (DESIGN.md §16). Run both
 # differential suites optimized, as the ML route runs, at both thread

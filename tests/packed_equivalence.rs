@@ -17,7 +17,7 @@ use cell_aware::netlist::synth::{
 use cell_aware::netlist::{corrupt_cell, Cell, Corruption, NetId, Terminal, TransistorId};
 use cell_aware::sim::packed::{PackedSim, PackedStimulus};
 use cell_aware::sim::{
-    detection_row, detection_row_scalar, set_packed_override, CellKernel, DetectionPolicy,
+    detection_row, detection_row_scalar, set_packed_override, CellKernel, DetectionPolicy, Golden,
     Injection, SimBudget, Simulator, Stimulus, Value,
 };
 
@@ -141,6 +141,14 @@ fn assert_lanes_match(cell: &Cell, injection: Injection, stimuli: &[Stimulus]) {
     }
 }
 
+/// The packed table of `cell`: kernel compile, one golden solve, every
+/// defect of `universe` against it.
+fn packed_table(cell: &Cell, universe: &DefectUniverse, stimuli: &[Stimulus]) -> DetectionTable {
+    let kernel = CellKernel::compile(cell).expect("corpus cells are within kernel limits");
+    let golden = Golden::solve(kernel, stimuli.to_vec());
+    DetectionTable::generate_packed(&golden, universe, DetectionPolicy::default())
+}
+
 /// Packed detection tables equal scalar ones over the synthesized
 /// corpus (full intra-transistor universe, exhaustive stimuli).
 #[test]
@@ -150,9 +158,7 @@ fn tables_match_on_synth_corpus() {
         let stimuli = Stimulus::all(cell.num_inputs());
         let scalar =
             DetectionTable::generate_scalar(&cell, &universe, &stimuli, DetectionPolicy::default());
-        let packed =
-            DetectionTable::generate_packed(&cell, &universe, &stimuli, DetectionPolicy::default())
-                .expect("corpus cells are within kernel limits");
+        let packed = packed_table(&cell, &universe, &stimuli);
         assert_eq!(packed, scalar, "cell {}", cell.name());
     });
 }
@@ -177,13 +183,7 @@ fn tables_match_on_corrupted_variants() {
                 &stimuli,
                 DetectionPolicy::default(),
             );
-            let packed = DetectionTable::generate_packed(
-                &bad,
-                &universe,
-                &stimuli,
-                DetectionPolicy::default(),
-            )
-            .expect("corrupted corpus cells are within kernel limits");
+            let packed = packed_table(&bad, &universe, &stimuli);
             assert_eq!(packed, scalar, "{} on {}", corruption.name(), bad.name());
         }
     });
@@ -258,6 +258,8 @@ fn budgeted_outcomes_match_scalar_classes() {
                     &stimuli,
                     DetectionPolicy::default(),
                     budget,
+                    &budget.start(),
+                    None,
                 );
                 set_packed_override(Some(true));
                 let packed = DetectionTable::generate_budgeted(
@@ -266,6 +268,8 @@ fn budgeted_outcomes_match_scalar_classes() {
                     &stimuli,
                     DetectionPolicy::default(),
                     budget,
+                    &budget.start(),
+                    None,
                 );
                 set_packed_override(None);
                 assert_eq!(packed, scalar, "cell {}", cell.name());
