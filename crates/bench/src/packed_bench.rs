@@ -12,19 +12,20 @@
 //! `ca-bench parallel` uses for its serial baseline).
 //!
 //! Before any number is reported the two table sets are compared bit
-//! for bit, and the `.cam` exports of a full characterization run with
-//! `CA_PACKED` forced off and forced on are asserted byte-identical.
+//! for bit, and the `.cam` export of every cell's production
+//! characterization ([`PreparedCell::characterize`], packed) is asserted
+//! byte-identical to the model of its scalar reference table.
 
 // Benchmark results feed BENCH_packed.json; a stray unwrap would abort
 // the run instead of reporting the failure.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::corpus::Profile;
-use ca_core::{export_cam, PreparedCell};
-use ca_defects::{DefectUniverse, DetectionTable, GenerateOptions};
+use ca_core::PreparedCell;
+use ca_defects::{to_cam, CaModel, DefectUniverse, DetectionTable, GenerateOptions};
 use ca_netlist::library::generate_library;
 use ca_netlist::{Cell, Technology};
-use ca_sim::{set_packed_override, CellKernel, DetectionPolicy, Golden, PackedStimulus, Stimulus};
+use ca_sim::{DetectionPolicy, Golden, PackedStimulus, Stimulus};
 use std::time::Instant;
 
 /// Measured numbers of one packed-vs-scalar run.
@@ -46,14 +47,12 @@ pub struct PackedBench {
     pub lanes_used: usize,
     /// `ca_sim.kernel.compiled` delta of the packed pass.
     pub kernels_compiled: u64,
-    /// `ca_sim.kernel.fallback` delta of the packed pass.
-    pub kernel_fallbacks: u64,
     /// `ca_sim.packed.lanes` delta (lanes actually solved).
     pub solver_lanes: u64,
     /// `ca_sim.packed.cone_skips` delta (faulty lanes proven golden).
     pub cone_skips: u64,
-    /// `.cam` documents compared between the forced-off and forced-on
-    /// characterization runs.
+    /// `.cam` documents compared between the production
+    /// characterization and the scalar reference tables.
     pub cam_files: usize,
     /// Whether every compared `.cam` document was byte-identical.
     pub cam_identical: bool,
@@ -85,7 +84,7 @@ impl PackedBench {
             "{{\n  \"cells\": {},\n  \"defects\": {},\n  \"stimuli\": {},\n  \
              \"scalar_s\": {:.3},\n  \"packed_s\": {:.3},\n  \"speedup\": {:.2},\n  \
              \"blocks\": {},\n  \"lanes_used\": {},\n  \"lane_occupancy\": {:.4},\n  \
-             \"kernels_compiled\": {},\n  \"kernel_fallbacks\": {},\n  \
+             \"kernels_compiled\": {},\n  \
              \"solver_lanes\": {},\n  \"cone_skips\": {},\n  \"cam_files\": {},\n  \
              \"cam_identical\": {}\n}}\n",
             self.cells,
@@ -98,7 +97,6 @@ impl PackedBench {
             self.lanes_used,
             self.lane_occupancy(),
             self.kernels_compiled,
-            self.kernel_fallbacks,
             self.solver_lanes,
             self.cone_skips,
             self.cam_files,
@@ -112,7 +110,7 @@ impl PackedBench {
             "packed simulation engine — {} cells, {} defects, {} stimuli\n  \
              scalar baseline: {:.3} s\n  packed engine:   {:.3} s  ({:.1}x)\n  \
              lanes: {}/{} occupied ({:.1}%), {} solved by packed solver, {} cone-skipped\n  \
-             kernels: {} compiled, {} fallbacks\n  \
+             kernels: {} compiled\n  \
              cam exports: {} documents, byte-identical: {}\n",
             self.cells,
             self.defects,
@@ -126,7 +124,6 @@ impl PackedBench {
             self.solver_lanes,
             self.cone_skips,
             self.kernels_compiled,
-            self.kernel_fallbacks,
             self.cam_files,
             self.cam_identical
         )
@@ -147,8 +144,8 @@ struct Workload {
 /// # Panics
 ///
 /// Panics if any packed table differs from its scalar twin or any
-/// `.cam` export differs between the forced-off and forced-on runs — a
-/// wrong fast path must never report a speedup.
+/// `.cam` export differs from its scalar reference model — a wrong fast
+/// path must never report a speedup.
 pub fn run(profile: Profile) -> PackedBench {
     let library = generate_library(&profile.library_config(Technology::C40));
     let policy = DetectionPolicy::default();
@@ -202,7 +199,7 @@ pub fn run(profile: Profile) -> PackedBench {
         lanes_used += ps.blocks().iter().map(|b| b.occupancy()).sum::<usize>();
     }
 
-    let (cam_files, cam_identical) = cam_byte_identity(&library.cells);
+    let (cam_files, cam_identical) = cam_byte_identity(&workloads, &scalar);
 
     PackedBench {
         cells: workloads.len(),
@@ -213,7 +210,6 @@ pub fn run(profile: Profile) -> PackedBench {
         blocks,
         lanes_used,
         kernels_compiled: counter("ca_sim.kernel.compiled"),
-        kernel_fallbacks: counter("ca_sim.kernel.fallback"),
         solver_lanes: counter("ca_sim.packed.lanes"),
         cone_skips: counter("ca_sim.packed.cone_skips"),
         cam_files,
@@ -221,53 +217,42 @@ pub fn run(profile: Profile) -> PackedBench {
     }
 }
 
-/// Characterizes the library twice — packed forced off, then forced on —
-/// and asserts the `.cam` exports are byte-identical.
+/// One cold packed table: kernel compile, golden solve and every
+/// defect.
+fn packed_table(w: &Workload, policy: DetectionPolicy) -> DetectionTable {
+    DetectionTable::generate_packed(
+        &Golden::solve(&w.cell, w.stimuli.clone()),
+        &w.universe,
+        policy,
+    )
+}
+
+/// Characterizes every cell on the production path and asserts its
+/// `.cam` export is byte-identical to the model of its scalar reference
+/// table (`scalar`, default options).
 ///
 /// # Panics
 ///
 /// Panics on any characterization failure or any differing document.
-/// One cold packed table: kernel compile, golden solve and every
-/// defect. A declined (oversized) cell takes the scalar path, as the
-/// flow would.
-fn packed_table(w: &Workload, policy: DetectionPolicy) -> DetectionTable {
-    match CellKernel::compile(&w.cell) {
-        Some(kernel) => DetectionTable::generate_packed(
-            &Golden::solve(kernel, w.stimuli.clone()),
-            &w.universe,
-            policy,
-        ),
-        None => DetectionTable::generate_scalar(&w.cell, &w.universe, &w.stimuli, policy),
-    }
-}
-
-fn cam_byte_identity(cells: &[ca_netlist::library::LibraryCell]) -> (usize, bool) {
-    let characterize = |packed: bool| -> Vec<(String, String)> {
-        set_packed_override(Some(packed));
-        let prepared: Vec<PreparedCell> = cells
-            .iter()
-            .map(|lc| {
-                PreparedCell::characterize(lc.cell.clone(), GenerateOptions::default())
-                    .unwrap_or_else(|e| {
-                        panic!("characterization failed for {}: {e}", lc.cell.name())
-                    })
-            })
-            .collect();
-        export_cam(&prepared)
-    };
-    let scalar_cam = characterize(false);
-    let packed_cam = characterize(true);
-    set_packed_override(None);
-
-    assert_eq!(scalar_cam.len(), packed_cam.len(), "export count differs");
-    for ((sn, sb), (pn, pb)) in scalar_cam.iter().zip(&packed_cam) {
-        assert_eq!(sn, pn, "export order differs");
+fn cam_byte_identity(workloads: &[Workload], scalar: &[DetectionTable]) -> (usize, bool) {
+    for (w, table) in workloads.iter().zip(scalar) {
+        let prepared = PreparedCell::characterize(w.cell.clone(), GenerateOptions::default())
+            .unwrap_or_else(|e| panic!("characterization failed for {}: {e}", w.cell.name()));
+        let Some(model) = prepared.model.as_ref() else {
+            panic!("characterized cell {} carries no model", w.cell.name());
+        };
+        let reference = CaModel {
+            defect_simulations: table.defect_simulations(),
+            ..CaModel::from_rows(&w.cell, w.universe.clone(), table.rows().to_vec())
+        };
         assert_eq!(
-            sb, pb,
-            "cam export for {sn} differs between scalar and packed"
+            to_cam(model),
+            to_cam(&reference),
+            "cam export for {} differs from its scalar reference",
+            w.cell.name()
         );
     }
-    (scalar_cam.len(), true)
+    (workloads.len(), true)
 }
 
 #[cfg(test)]
@@ -285,7 +270,6 @@ mod tests {
             blocks: 12,
             lanes_used: 500,
             kernels_compiled: 12,
-            kernel_fallbacks: 0,
             solver_lanes: 9000,
             cone_skips: 4000,
             cam_files: 12,
@@ -310,7 +294,6 @@ mod tests {
             blocks: 0,
             lanes_used: 0,
             kernels_compiled: 0,
-            kernel_fallbacks: 0,
             solver_lanes: 0,
             cone_skips: 0,
             cam_files: 0,

@@ -131,8 +131,8 @@ pub fn run(profile: Profile) -> ParallelBench {
     // in a warm process — never sees. The baseline stays cold where it
     // matters (no CharCache, every flavor characterized from scratch);
     // only the process-level warm-up effect is pinned out so speedups
-    // here and in BENCH_packed.json are measured against a clean
-    // scalar cold path.
+    // here and in BENCH_packed.json are measured against a clean cold
+    // path.
     if let Some(first) = library.cells.first() {
         let _ = PreparedCell::characterize(first.cell.clone(), options);
     }

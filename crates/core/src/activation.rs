@@ -13,7 +13,7 @@
 
 use crate::error::CoreError;
 use ca_netlist::{Cell, MosKind, TransistorId};
-use ca_sim::{Golden, Simulator, Stimulus, Value, Wave};
+use ca_sim::{Golden, Stimulus, Value, Wave};
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
@@ -114,126 +114,21 @@ impl Activation {
     /// does not settle to binary values (invalid netlist).
     pub fn extract(cell: &Cell) -> Result<Activation, CoreError> {
         let stimuli = Stimulus::all(cell.num_inputs());
-        Activation::extract_with(cell, stimuli)
-    }
-
-    /// Like [`Activation::extract`] with a caller-provided stimulus list
-    /// (must start with the `2^n` static stimuli in ascending order for
-    /// activity values to be meaningful).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::GoldenNotBinary`] when the defect-free cell
-    /// does not settle to binary values.
-    pub fn extract_with(cell: &Cell, stimuli: Vec<Stimulus>) -> Result<Activation, CoreError> {
-        // The packed engine evaluates 64 stimuli per solver pass
-        // (DESIGN.md §12) and produces bit-identical waves; the scalar
-        // path remains as the fallback and the differential reference.
-        match ca_sim::packed_kernel(cell) {
-            Some(kernel) => Activation::from_golden(cell, &Golden::solve(kernel, stimuli)),
-            None => {
-                let (output_waves, transistor_waves) =
-                    Activation::golden_waves_scalar(cell, &stimuli)?;
-                Ok(Activation::from_waves(
-                    cell,
-                    stimuli.into(),
-                    output_waves,
-                    transistor_waves,
-                ))
-            }
-        }
+        Activation::from_golden(cell, &Golden::solve(cell, stimuli))
     }
 
     /// Extracts the activation from a golden solve the caller already
     /// holds ([`Golden::solve`], or a [`Golden::solve_checked`] that
-    /// passed): no second compile, no second solve.
+    /// passed) over a list that starts with the `2^n` static stimuli in
+    /// ascending order: no second compile, no second solve.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::GoldenNotBinary`] when the defect-free cell
-    /// does not settle to binary values.
+    /// Returns [`CoreError::GoldenNotBinary`] for the first stimulus
+    /// under which the defect-free cell does not settle to binary
+    /// values, checking the output first and then the gates in
+    /// transistor-id order.
     pub(crate) fn from_golden(cell: &Cell, golden: &Golden) -> Result<Activation, CoreError> {
-        let (output_waves, transistor_waves) = Activation::golden_waves_packed(cell, golden)?;
-        Ok(Activation::from_waves(
-            cell,
-            Arc::clone(golden.stimuli()),
-            output_waves,
-            transistor_waves,
-        ))
-    }
-
-    /// Assembles the activation from per-stimulus golden waves, deriving
-    /// the activity values from the leading static stimuli.
-    fn from_waves(
-        cell: &Cell,
-        stimuli: Arc<[Stimulus]>,
-        output_waves: Vec<Wave>,
-        transistor_waves: Vec<Vec<Wave>>,
-    ) -> Activation {
-        // Activity values from the leading static stimuli. The paper's
-        // Table II orders rows with input A as the MSB of the pattern
-        // (00, 01, 10, 11 over A,B); our static stimulus index uses input
-        // 0 as the LSB, so each table row is the bit-reversed index.
-        let n_transistors = cell.num_transistors();
-        let n = cell.num_inputs();
-        let n_static = 1usize << n;
-        let row_to_stimulus = |r: usize| -> usize {
-            (0..n).fold(0usize, |acc, i| acc | (((r >> (n - 1 - i)) & 1) << i))
-        };
-        let mut activity_values = Vec::with_capacity(n_transistors);
-        #[allow(clippy::needless_range_loop)] // t indexes the inner dimension
-        for t in 0..n_transistors {
-            let bits: Vec<bool> = (0..n_static)
-                .map(|r| transistor_waves[row_to_stimulus(r)][t] == Wave::One)
-                .collect();
-            activity_values.push(ActivityValue::new(bits));
-        }
-        Activation {
-            stimuli,
-            output_waves,
-            transistor_waves,
-            activity_values,
-        }
-    }
-
-    /// Scalar golden pass: one simulator run per stimulus, collecting the
-    /// output wave and every transistor's activity wave.
-    #[allow(clippy::type_complexity)]
-    fn golden_waves_scalar(
-        cell: &Cell,
-        stimuli: &[Stimulus],
-    ) -> Result<(Vec<Wave>, Vec<Vec<Wave>>), CoreError> {
-        let sim = Simulator::new(cell);
-        let n_transistors = cell.num_transistors();
-        let mut output_waves = Vec::with_capacity(stimuli.len());
-        let mut transistor_waves = Vec::with_capacity(stimuli.len());
-        for (si, stimulus) in stimuli.iter().enumerate() {
-            let result = sim.run(stimulus);
-            let not_binary = |_: ()| CoreError::GoldenNotBinary {
-                cell: cell.name().to_string(),
-                stimulus: si,
-            };
-            let out = result.wave(cell.output()).ok_or(()).map_err(not_binary)?;
-            output_waves.push(out);
-            let mut per_t = Vec::with_capacity(n_transistors);
-            for (_, t) in cell.transistor_ids() {
-                let gate_wave = result.wave(t.gate()).ok_or(()).map_err(not_binary)?;
-                per_t.push(activity_wave(t.kind(), gate_wave));
-            }
-            transistor_waves.push(per_t);
-        }
-        Ok((output_waves, transistor_waves))
-    }
-
-    /// Packed golden pass over `golden`'s blocks. Non-binary nets raise
-    /// [`CoreError::GoldenNotBinary`] for the first offending stimulus,
-    /// checking the output first and then the gates in transistor-id
-    /// order — the exact error the scalar pass reports.
-    #[allow(clippy::type_complexity)]
-    fn golden_waves_packed(
-        cell: &Cell,
-        golden: &Golden,
-    ) -> Result<(Vec<Wave>, Vec<Vec<Wave>>), CoreError> {
         let out_net = cell.output().index();
         let gates: Vec<(usize, MosKind)> = cell
             .transistor_ids()
@@ -241,8 +136,7 @@ impl Activation {
             .collect();
         let n_stimuli = golden.stimuli().len();
         let mut output_waves = Vec::with_capacity(n_stimuli);
-        let mut transistor_waves = Vec::with_capacity(n_stimuli);
-        let mut si = 0usize;
+        let mut transistor_waves: Vec<Vec<Wave>> = Vec::with_capacity(n_stimuli);
         for (block, result) in golden.packed().blocks().iter().zip(golden.blocks()) {
             for lane in 0..block.occupancy() {
                 let wave_of = |net: usize| -> Option<Wave> {
@@ -257,19 +151,40 @@ impl Activation {
                 };
                 let not_binary = || CoreError::GoldenNotBinary {
                     cell: cell.name().to_string(),
-                    stimulus: si,
+                    stimulus: output_waves.len(),
                 };
-                output_waves.push(wave_of(out_net).ok_or_else(not_binary)?);
+                let out = wave_of(out_net).ok_or_else(not_binary)?;
                 let mut per_t = Vec::with_capacity(gates.len());
                 for &(gate_net, kind) in &gates {
                     let gate_wave = wave_of(gate_net).ok_or_else(not_binary)?;
                     per_t.push(activity_wave(kind, gate_wave));
                 }
+                output_waves.push(out);
                 transistor_waves.push(per_t);
-                si += 1;
             }
         }
-        Ok((output_waves, transistor_waves))
+        // Activity values from the leading static stimuli. The paper's
+        // Table II orders rows with input A as the MSB of the pattern
+        // (00, 01, 10, 11 over A,B); our static stimulus index uses input
+        // 0 as the LSB, so each table row is the bit-reversed index.
+        let n = cell.num_inputs();
+        let row_to_stimulus = |r: usize| -> usize {
+            (0..n).fold(0usize, |acc, i| acc | (((r >> (n - 1 - i)) & 1) << i))
+        };
+        let activity_values = (0..gates.len())
+            .map(|t| {
+                let bits = (0..1usize << n)
+                    .map(|r| transistor_waves[row_to_stimulus(r)][t] == Wave::One)
+                    .collect();
+                ActivityValue::new(bits)
+            })
+            .collect();
+        Ok(Activation {
+            stimuli: Arc::clone(golden.stimuli()),
+            output_waves,
+            transistor_waves,
+            activity_values,
+        })
     }
 
     /// The stimuli the activation was extracted against.

@@ -38,7 +38,7 @@
 
 use crate::canonical::CanonicalCell;
 use crate::error::CoreError;
-use crate::matrix::{conventional_model, PreparedCell};
+use crate::matrix::PreparedCell;
 use ca_defects::{BitRow, CaModel, DefectClass, DefectId, DefectUniverse, GenerateOptions};
 use ca_netlist::{Cell, NetId, Terminal, TransistorId};
 use ca_sim::{BudgetClock, DetectionPolicy, Golden, Injection, SimBudget};
@@ -282,9 +282,9 @@ impl CharCache {
         options: GenerateOptions,
     ) -> Result<PreparedCell, CoreError> {
         let golden = PreparedCell::plain_golden(&cell)?;
-        let mut prepared = PreparedCell::prepare_with(cell, golden.as_ref())?;
+        let mut prepared = PreparedCell::prepare_with(cell, &golden)?;
         let model = self.resolve(&prepared, options, |cell| {
-            Ok(conventional_model(cell, options, golden.as_ref()))
+            Ok(CaModel::generate_packed(cell, &golden, options))
         })?;
         prepared.model = Some(model);
         Ok(prepared)
@@ -292,7 +292,7 @@ impl CharCache {
 
     /// Budget-aware variant used by the robust pipeline, inside one
     /// attempt timed by `clock` and reusing the attempt's checked golden
-    /// pre-flight (`None` on the scalar path). The cache only
+    /// pre-flight. The cache only
     /// participates when the budget cannot change the *result* of a
     /// successful run — i.e. no stimulus/defect truncation and no solver
     /// iteration cap. A pure wall-clock deadline is fine: a hit does
@@ -307,7 +307,7 @@ impl CharCache {
         options: GenerateOptions,
         budget: &SimBudget,
         clock: &BudgetClock,
-        golden: Option<&Golden>,
+        golden: &Golden,
     ) -> Result<PreparedCell, CoreError> {
         if truncating(budget) {
             self.note_bypassed();
@@ -878,11 +878,9 @@ MN1 Z B VSS VSS nch
         budget: &SimBudget,
     ) -> Result<PreparedCell, CoreError> {
         let clock = budget.start();
-        let golden = ca_sim::packed_kernel(&cell).map(|kernel| {
-            let stimuli = ca_sim::Stimulus::all(cell.num_inputs());
-            Golden::solve_checked(&cell, kernel, stimuli, budget, &clock).unwrap()
-        });
-        cache.characterize_budgeted(cell, opts, budget, &clock, golden.as_ref())
+        let stimuli = ca_sim::Stimulus::all(cell.num_inputs());
+        let golden = Golden::solve_checked(&cell, stimuli, budget, &clock).unwrap();
+        cache.characterize_budgeted(cell, opts, budget, &clock, &golden)
     }
 
     #[test]

@@ -39,19 +39,6 @@ fn single_output(cell: &Cell) -> Result<(), CoreError> {
     )))
 }
 
-/// The plain conventional model of `cell`, against `golden` when the
-/// caller holds one (see [`PreparedCell::plain_golden`]).
-pub(crate) fn conventional_model(
-    cell: &Cell,
-    options: GenerateOptions,
-    golden: Option<&Golden>,
-) -> CaModel {
-    match golden {
-        Some(golden) => CaModel::generate_packed(cell, golden, options),
-        None => CaModel::generate(cell, options),
-    }
-}
-
 /// Fixed column layout of a cell group's CA-matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatrixLayout {
@@ -145,14 +132,17 @@ impl PreparedCell {
     /// Returns [`CoreError::GoldenNotBinary`] for invalid netlists.
     pub fn characterize(cell: Cell, options: GenerateOptions) -> Result<PreparedCell, CoreError> {
         let golden = PreparedCell::plain_golden(&cell)?;
-        let mut prepared = PreparedCell::prepare_with(cell, golden.as_ref())?;
-        prepared.model = Some(conventional_model(&prepared.cell, options, golden.as_ref()));
+        let mut prepared = PreparedCell::prepare_with(cell, &golden)?;
+        prepared.model = Some(CaModel::generate_packed(&prepared.cell, &golden, options));
         Ok(prepared)
     }
 
     /// Like [`PreparedCell::characterize`], but runs the conventional
     /// flow under a [`SimBudget`]: oscillation and exhausted budgets
-    /// become errors instead of silently X-forced values.
+    /// become errors instead of silently X-forced values. The golden
+    /// must converge on every stimulus under the budget's iteration
+    /// cap, exactly as in the robust pipeline's pre-flight, and that one
+    /// solve feeds the activation and the detection table.
     ///
     /// Truncating budgets (`max_stimuli` / `max_defects`) produce a
     /// [degraded](CaModel::degraded) model; the prepared cell's universe
@@ -170,12 +160,16 @@ impl PreparedCell {
         options: GenerateOptions,
         budget: &SimBudget,
     ) -> Result<PreparedCell, CoreError> {
-        PreparedCell::characterize_budgeted_with(cell, options, budget, &budget.start(), None)
+        let clock = budget.start();
+        let stimuli = Stimulus::all(cell.num_inputs());
+        let golden = Golden::solve_checked(&cell, stimuli, budget, &clock)
+            .map_err(|e| CoreError::from_sim(cell.name(), e))?;
+        PreparedCell::characterize_budgeted_with(cell, options, budget, &clock, &golden)
     }
 
     /// [`PreparedCell::characterize_budgeted`] inside a run timed by
-    /// `clock`, reusing the run's checked golden solve when it has one
-    /// (see [`CaModel::generate_budgeted`]). Generation runs before
+    /// `clock`, against the run's checked golden solve (see
+    /// [`CaModel::generate_budgeted`]). Generation runs before
     /// preparation, so budget failures take precedence over prepare
     /// errors.
     pub(crate) fn characterize_budgeted_with(
@@ -183,7 +177,7 @@ impl PreparedCell {
         options: GenerateOptions,
         budget: &SimBudget,
         clock: &BudgetClock,
-        golden: Option<&Golden>,
+        golden: &Golden,
     ) -> Result<PreparedCell, CoreError> {
         let model = CaModel::generate_budgeted(&cell, options, budget, clock, golden)
             .map_err(|e| CoreError::from_sim(cell.name(), e))?;
@@ -201,21 +195,16 @@ impl PreparedCell {
     ///
     /// Returns [`CoreError::GoldenNotBinary`] for invalid netlists.
     pub fn prepare(cell: Cell) -> Result<PreparedCell, CoreError> {
-        PreparedCell::prepare_with(cell, None)
+        let golden = PreparedCell::plain_golden(&cell)?;
+        PreparedCell::prepare_with(cell, &golden)
     }
 
     /// [`PreparedCell::prepare`], extracting the activation from
-    /// `golden` when the caller already solved it over
-    /// [`ca_sim::Stimulus::all`] (and solving it here otherwise).
-    pub(crate) fn prepare_with(
-        cell: Cell,
-        golden: Option<&Golden>,
-    ) -> Result<PreparedCell, CoreError> {
+    /// `golden`, the caller's golden solve of `cell` over
+    /// [`ca_sim::Stimulus::all`].
+    pub(crate) fn prepare_with(cell: Cell, golden: &Golden) -> Result<PreparedCell, CoreError> {
         single_output(&cell)?;
-        let activation = match golden {
-            Some(golden) => Activation::from_golden(&cell, golden)?,
-            None => Activation::extract(&cell)?,
-        };
+        let activation = Activation::from_golden(&cell, golden)?;
         let canonical = CanonicalCell::build(&cell, &activation)?;
         let universe = DefectUniverse::intra_transistor(&cell);
         Ok(PreparedCell {
@@ -230,16 +219,15 @@ impl PreparedCell {
     /// The golden solve the plain conventional flow shares between
     /// activation extraction and the detection table: the natural
     /// iteration bound with X-forcing, exactly what each solved on its
-    /// own. `None` on the scalar path.
+    /// own.
     ///
     /// # Errors
     ///
     /// [`CoreError::Unsupported`] for multi-output cells, before any
     /// simulation is spent on them.
-    pub(crate) fn plain_golden(cell: &Cell) -> Result<Option<Golden>, CoreError> {
+    pub(crate) fn plain_golden(cell: &Cell) -> Result<Golden, CoreError> {
         single_output(cell)?;
-        Ok(ca_sim::packed_kernel(cell)
-            .map(|kernel| Golden::solve(kernel, Stimulus::all(cell.num_inputs()))))
+        Ok(Golden::solve(cell, Stimulus::all(cell.num_inputs())))
     }
 
     /// The (inputs, transistors) group key used for training/inference

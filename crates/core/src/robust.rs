@@ -11,8 +11,9 @@
 //! 2. **Golden** — the defect-free cell is solved once, on the packed
 //!    engine ([`Golden::solve_checked`]), with oscillation detection;
 //!    divergence becomes [`CoreError::SolverDiverged`] instead of silent
-//!    X-forcing. The scalar [`Simulator::try_run`] loop is the fallback
-//!    when `CA_PACKED` is off or the kernel compiler declines the cell.
+//!    X-forcing. The verdict is the one the scalar reference
+//!    (`Simulator::try_run` over every stimulus) gives; the
+//!    `golden_preflight` differential suite holds the two together.
 //! 3. **Prepare + Characterize** — canonicalization and budgeted model
 //!    generation through the [`CharCache`], both reading the golden of
 //!    stage 2 (no second compile or solve) and wrapped in
@@ -47,7 +48,7 @@ use ca_netlist::lint::{lint, Severity};
 use ca_netlist::Cell;
 use ca_obs::clock::Deadline;
 use ca_obs::Stopwatch;
-use ca_sim::{BudgetClock, Golden, Injection, SimBudget, SimError, Simulator, Stimulus};
+use ca_sim::{BudgetClock, Golden, SimBudget, SimError, Stimulus};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -526,36 +527,20 @@ fn characterize_cell_guarded(
     let golden = golden_preflight(cell, budget, &clock)
         .map_err(|e| (FailurePhase::Golden, CoreError::from_sim(cell.name(), e)))?;
     // 3+4. Prepare and characterize against that golden.
-    characterize_preflighted(cell, options, budget, &clock, golden.as_ref(), cache)
+    characterize_preflighted(cell, options, budget, &clock, &golden, cache)
 }
 
 /// The golden pre-flight: every stimulus solved under `budget`'s
 /// iteration cap with oscillation and iteration exhaustion surfaced as
-/// errors (that `Simulator::run` would silently X-force), `clock`
-/// checked between stimuli or packed blocks. On the packed engine this
-/// is the cell's one golden solve, returned for activation extraction
-/// and the detection table to reuse; the scalar `try_run` loop is the
-/// fallback when `CA_PACKED` is off or the kernel compiler declines the
-/// cell (`Ok(None)`).
+/// errors (that an unchecked solve would silently X-force), `clock`
+/// checked between packed blocks. This is the cell's one golden solve,
+/// returned for activation extraction and the detection table to reuse.
 fn golden_preflight(
     cell: &Cell,
     budget: &SimBudget,
     clock: &BudgetClock,
-) -> Result<Option<Golden>, SimError> {
-    let stimuli = Stimulus::all(cell.num_inputs());
-    if let Some(kernel) = ca_sim::packed_kernel(cell) {
-        return Golden::solve_checked(cell, kernel, stimuli, budget, clock).map(Some);
-    }
-    let sim = Simulator::with_budget(cell, Injection::None, budget);
-    for stimulus in &stimuli {
-        if clock.expired() {
-            return Err(SimError::BudgetExceeded {
-                resource: "wall clock",
-            });
-        }
-        sim.try_run(stimulus)?;
-    }
-    Ok(None)
+) -> Result<Golden, SimError> {
+    Golden::solve_checked(cell, Stimulus::all(cell.num_inputs()), budget, clock)
 }
 
 /// Stages 3 and 4 for a cell whose golden pre-flight passed: prepare and
@@ -567,7 +552,7 @@ fn characterize_preflighted(
     options: GenerateOptions,
     budget: &SimBudget,
     clock: &BudgetClock,
-    golden: Option<&Golden>,
+    golden: &Golden,
     cache: &CharCache,
 ) -> Result<PreparedCell, (FailurePhase, CoreError)> {
     isolated(cell.name(), || {
@@ -696,7 +681,7 @@ MN1 net0 B VSS VSS nch
             GenerateOptions::default(),
             &unlimited,
             &expired,
-            golden.as_ref(),
+            &golden,
             &CharCache::new(),
         )
         .unwrap_err();

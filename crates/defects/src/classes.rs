@@ -59,10 +59,23 @@ impl DefectClass {
 /// deterministic and independent of hashing.
 pub fn equivalence_classes(universe: &DefectUniverse, table: &DetectionTable) -> Vec<DefectClass> {
     let static_count = table.stimuli().iter().filter(|s| s.is_static()).count();
+    classes_of_rows(universe, table.rows(), static_count)
+}
+
+/// Equivalence classes of `rows` (aligned with `universe`) over a
+/// stimulus list whose first `static_count` stimuli are the static
+/// ones (the canonical [`ca_sim::Stimulus::all`] ordering). A row
+/// shorter than that (a degraded model's) is classified over the
+/// stimuli it covers.
+pub(crate) fn classes_of_rows(
+    universe: &DefectUniverse,
+    rows: &[BitRow],
+    static_count: usize,
+) -> Vec<DefectClass> {
     let mut by_row: BTreeMap<&BitRow, Vec<DefectId>> = BTreeMap::new();
     for defect in universe.defects() {
         by_row
-            .entry(table.row(defect.id))
+            .entry(&rows[defect.id.index()])
             .or_default()
             .push(defect.id);
     }
@@ -70,7 +83,14 @@ pub fn equivalence_classes(universe: &DefectUniverse, table: &DetectionTable) ->
         .into_iter()
         .map(|(row, mut members)| {
             members.sort();
-            let behavior = classify_row(row, static_count, table.stimuli().len());
+            let static_hit = (0..static_count.min(row.len())).any(|i| row.get(i));
+            let behavior = if static_hit {
+                Behavior::Static
+            } else if row.any() {
+                Behavior::Dynamic
+            } else {
+                Behavior::Undetectable
+            };
             DefectClass {
                 representative: members[0],
                 members,
@@ -81,20 +101,6 @@ pub fn equivalence_classes(universe: &DefectUniverse, table: &DetectionTable) ->
         .collect();
     classes.sort_by_key(|c| c.representative);
     classes
-}
-
-/// Classifies a detection row. The stimulus list is assumed to start with
-/// all static stimuli (the canonical [`ca_sim::Stimulus::all`] ordering).
-fn classify_row(row: &BitRow, static_count: usize, total: usize) -> Behavior {
-    debug_assert_eq!(row.len(), total);
-    let static_hit = (0..static_count).any(|i| row.get(i));
-    if static_hit {
-        Behavior::Static
-    } else if row.any() {
-        Behavior::Dynamic
-    } else {
-        Behavior::Undetectable
-    }
 }
 
 #[cfg(test)]

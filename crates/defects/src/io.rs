@@ -415,14 +415,12 @@ MN1 net0 B VSS VSS nch
             max_stimuli: Some(4),
             ..ca_sim::SimBudget::unlimited()
         };
-        let model = CaModel::generate_budgeted(
-            &cell,
-            GenerateOptions::default(),
-            &budget,
-            &budget.start(),
-            None,
-        )
-        .expect("truncation succeeds");
+        let clock = budget.start();
+        let stimuli = ca_sim::Stimulus::all(cell.num_inputs());
+        let golden = ca_sim::Golden::solve_checked(&cell, stimuli, &budget, &clock).unwrap();
+        let model =
+            CaModel::generate_budgeted(&cell, GenerateOptions::default(), &budget, &clock, &golden)
+                .expect("truncation succeeds");
         assert!(model.degraded);
         let text = to_cam(&model);
         assert!(text.lines().any(|l| l == "degraded"), "{text}");

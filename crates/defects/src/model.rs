@@ -8,7 +8,7 @@
 //! type through prediction (see `ca-core`), which is what makes
 //! paper-vs-ML accuracy comparisons direct.
 
-use crate::classes::{equivalence_classes, Behavior, DefectClass};
+use crate::classes::{classes_of_rows, Behavior, DefectClass};
 use crate::table::{BitRow, DetectionTable};
 use crate::universe::{DefectId, DefectUniverse};
 use ca_netlist::Cell;
@@ -61,15 +61,13 @@ pub struct CaModel {
 impl CaModel {
     /// Runs the conventional (simulation-based) generation flow.
     pub fn generate(cell: &Cell, options: GenerateOptions) -> CaModel {
-        let universe = options.universe(cell);
-        let table = DetectionTable::generate_exhaustive(cell, &universe, options.policy);
-        CaModel::from_table(cell, universe, &table, false)
+        let golden = Golden::solve(cell, Stimulus::all(cell.num_inputs()));
+        CaModel::generate_packed(cell, &golden, options)
     }
 
-    /// [`CaModel::generate`] on the packed engine, against the golden
-    /// solve of `cell` over [`Stimulus::all`] ([`Golden::solve`]) that
-    /// the caller already holds: no second compile, no second golden
-    /// solve.
+    /// [`CaModel::generate`] against the golden solve of `cell` over
+    /// [`Stimulus::all`] ([`Golden::solve`]) that the caller already
+    /// holds: no second compile, no second golden solve.
     pub fn generate_packed(cell: &Cell, golden: &Golden, options: GenerateOptions) -> CaModel {
         let universe = options.universe(cell);
         let table = DetectionTable::generate_packed(golden, &universe, options.policy);
@@ -77,39 +75,23 @@ impl CaModel {
     }
 
     /// Runs the conventional flow under a [`SimBudget`] whose run is
-    /// timed by `clock`, reusing `golden` — the checked golden solve of
-    /// `cell` over [`Stimulus::all`] — when the caller holds one (see
+    /// timed by `clock`, against `golden` — the checked golden solve of
+    /// `cell` over [`Stimulus::all`] ([`Golden::solve_checked`]; see
     /// [`DetectionTable::generate_budgeted`]).
     ///
     /// Truncating budgets (`max_stimuli`, `max_defects`) yield a valid
     /// but [`degraded`](CaModel::degraded) model covering the truncated
-    /// work; an oscillating golden cell or an expired wall clock is an
-    /// error.
+    /// work; an expired wall clock is an error.
     pub fn generate_budgeted(
         cell: &Cell,
         options: GenerateOptions,
         budget: &SimBudget,
         clock: &BudgetClock,
-        golden: Option<&Golden>,
+        golden: &Golden,
     ) -> Result<CaModel, SimError> {
         let universe = options.universe(cell);
-        let all;
-        let stimuli = match golden {
-            Some(g) => &g.stimuli()[..],
-            None => {
-                all = Stimulus::all(cell.num_inputs());
-                &all
-            }
-        };
-        let budgeted = DetectionTable::generate_budgeted(
-            cell,
-            &universe,
-            stimuli,
-            options.policy,
-            budget,
-            clock,
-            golden,
-        )?;
+        let budgeted =
+            DetectionTable::generate_budgeted(golden, &universe, options.policy, budget, clock)?;
         let universe = universe.truncated(budgeted.defects_covered);
         Ok(CaModel::from_table(
             cell,
@@ -127,14 +109,9 @@ impl CaModel {
         degraded: bool,
     ) -> CaModel {
         CaModel {
-            cell_name: cell.name().to_string(),
-            num_inputs: cell.num_inputs(),
-            num_transistors: cell.num_transistors(),
-            rows: table.rows().to_vec(),
             defect_simulations: table.defect_simulations(),
-            classes: equivalence_classes(&universe, table),
-            universe,
             degraded,
+            ..CaModel::from_rows(cell, universe, table.rows().to_vec())
         }
     }
 
@@ -145,40 +122,8 @@ impl CaModel {
     /// Panics if `rows` is not aligned with `universe`.
     pub fn from_rows(cell: &Cell, universe: DefectUniverse, rows: Vec<BitRow>) -> CaModel {
         assert_eq!(rows.len(), universe.len(), "rows/universe mismatch");
-        let stimuli = Stimulus::all(cell.num_inputs());
-        let static_count = stimuli.iter().filter(|s| s.is_static()).count();
-        // Rebuild classes from the provided rows.
-        let classes = {
-            use std::collections::BTreeMap;
-            let mut by_row: BTreeMap<&BitRow, Vec<DefectId>> = BTreeMap::new();
-            for d in universe.defects() {
-                by_row.entry(&rows[d.id.index()]).or_default().push(d.id);
-            }
-            let mut classes: Vec<DefectClass> = by_row
-                .into_iter()
-                .map(|(row, mut members)| {
-                    members.sort();
-                    // Degraded rows may cover fewer stimuli than the
-                    // canonical set; classify over what is present.
-                    let static_hit = (0..static_count.min(row.len())).any(|i| row.get(i));
-                    let behavior = if static_hit {
-                        Behavior::Static
-                    } else if row.any() {
-                        Behavior::Dynamic
-                    } else {
-                        Behavior::Undetectable
-                    };
-                    DefectClass {
-                        representative: members[0],
-                        members,
-                        behavior,
-                        row: row.clone(),
-                    }
-                })
-                .collect();
-            classes.sort_by_key(|c| c.representative);
-            classes
-        };
+        // `Stimulus::all` starts with the 2^n static stimuli.
+        let classes = classes_of_rows(&universe, &rows, 1 << cell.num_inputs());
         CaModel {
             cell_name: cell.name().to_string(),
             num_inputs: cell.num_inputs(),
@@ -309,6 +254,13 @@ MN1 net0 B VSS VSS nch
         assert!((model.coverage() - 1.0).abs() < 1e-9);
     }
 
+    /// The checked golden of `cell` over every stimulus, as the
+    /// pipeline's pre-flight solves it.
+    fn checked_golden(cell: &Cell, budget: &SimBudget) -> Golden {
+        let stimuli = Stimulus::all(cell.num_inputs());
+        Golden::solve_checked(cell, stimuli, budget, &budget.start()).expect("NAND2 converges")
+    }
+
     #[test]
     fn budgeted_generation_unlimited_matches_plain() {
         let cell = spice::parse_cell(NAND2).unwrap();
@@ -319,7 +271,7 @@ MN1 net0 B VSS VSS nch
             GenerateOptions::default(),
             &unlimited,
             &unlimited.start(),
-            None,
+            &checked_golden(&cell, &unlimited),
         )
         .expect("NAND2 characterizes");
         assert_eq!(plain, budgeted);
@@ -327,19 +279,19 @@ MN1 net0 B VSS VSS nch
     }
 
     #[test]
-    fn a_held_golden_gives_the_cold_models() {
+    fn a_held_golden_gives_the_scalar_tables() {
         let cell = spice::parse_cell(NAND2).unwrap();
         let options = GenerateOptions {
             inter_transistor: true,
             ..GenerateOptions::default()
         };
-        let kernel = || ca_sim::CellKernel::compile(&cell).unwrap();
+        let universe = options.universe(&cell);
         let stimuli = Stimulus::all(cell.num_inputs());
-        let plain = Golden::solve(kernel(), stimuli.clone());
-        assert_eq!(
-            CaModel::generate_packed(&cell, &plain, options),
-            CaModel::generate(&cell, options)
-        );
+        let plain =
+            CaModel::generate_packed(&cell, &Golden::solve(&cell, stimuli.clone()), options);
+        assert_eq!(plain, CaModel::generate(&cell, options));
+        let scalar = DetectionTable::generate_scalar(&cell, &universe, &stimuli, options.policy);
+        assert_eq!(plain.rows, scalar.rows());
         // Truncating budgets read a prefix of the held golden's lanes.
         for budget in [
             SimBudget::unlimited(),
@@ -350,11 +302,27 @@ MN1 net0 B VSS VSS nch
             },
         ] {
             let clock = budget.start();
-            let checked =
-                Golden::solve_checked(&cell, kernel(), stimuli.clone(), &budget, &clock).unwrap();
-            let held = CaModel::generate_budgeted(&cell, options, &budget, &clock, Some(&checked));
-            let cold = CaModel::generate_budgeted(&cell, options, &budget, &clock, None);
-            assert_eq!(held, cold);
+            let held = CaModel::generate_budgeted(
+                &cell,
+                options,
+                &budget,
+                &clock,
+                &checked_golden(&cell, &budget),
+            )
+            .unwrap();
+            let scalar = DetectionTable::generate_budgeted_scalar(
+                &cell,
+                &universe,
+                &stimuli,
+                options.policy,
+                &budget,
+                &clock,
+            )
+            .unwrap();
+            assert_eq!(held.rows, scalar.table.rows());
+            assert_eq!(held.defect_simulations, scalar.table.defect_simulations());
+            assert_eq!(held.degraded, scalar.degraded);
+            assert_eq!(held.universe, universe.truncated(scalar.defects_covered));
         }
     }
 
@@ -371,7 +339,7 @@ MN1 net0 B VSS VSS nch
             GenerateOptions::default(),
             &budget,
             &budget.start(),
-            None,
+            &checked_golden(&cell, &budget),
         )
         .expect("truncation is not an error");
         assert!(model.degraded);
@@ -386,6 +354,7 @@ MN1 net0 B VSS VSS nch
     #[test]
     fn budgeted_generation_propagates_wall_clock_exhaustion() {
         let cell = spice::parse_cell(NAND2).unwrap();
+        let golden = checked_golden(&cell, &SimBudget::unlimited());
         let budget = SimBudget {
             wall_clock: Some(std::time::Duration::ZERO),
             ..SimBudget::unlimited()
@@ -395,7 +364,7 @@ MN1 net0 B VSS VSS nch
             GenerateOptions::default(),
             &budget,
             &budget.start(),
-            None,
+            &golden,
         )
         .expect_err("zero deadline cannot finish");
         assert!(matches!(err, SimError::BudgetExceeded { .. }));

@@ -8,10 +8,11 @@ use crate::universe::{Defect, DefectId, DefectUniverse};
 use ca_netlist::Cell;
 use ca_sim::packed::{detect_mask, PackedSim, PackedStimulus};
 use ca_sim::{
-    BudgetClock, DetectionPolicy, Golden, Injection, SimBudget, SimError, Simulator, Stimulus,
-    Value,
+    BudgetClock, DetectionPolicy, Golden, Injection, SimBudget, SimError, SimResult, Simulator,
+    Stimulus, Value,
 };
 use std::convert::Infallible;
+use std::sync::Arc;
 
 /// A packed bit row (one bit per stimulus).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -81,87 +82,73 @@ impl BitRow {
 }
 
 /// Detection results of a full defect universe under a full stimulus set.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The table shares its stimulus list with the golden solve it was
+/// generated against (no per-table copy); a budget-truncated table
+/// covers a prefix of that list. Tables compare equal when their
+/// stimuli, rows, policy and simulation counts are equal.
+#[derive(Debug, Clone)]
 pub struct DetectionTable {
-    stimuli: Vec<Stimulus>,
+    stimuli: Arc<[Stimulus]>,
+    /// Length of the `stimuli` prefix the rows cover.
+    n_stimuli: usize,
     rows: Vec<BitRow>,
     policy: DetectionPolicy,
     /// Number of defective-cell simulations performed (for the cost model).
     defect_simulations: usize,
 }
 
+impl PartialEq for DetectionTable {
+    fn eq(&self, other: &DetectionTable) -> bool {
+        self.stimuli() == other.stimuli()
+            && self.rows == other.rows
+            && self.policy == other.policy
+            && self.defect_simulations == other.defect_simulations
+    }
+}
+
+impl Eq for DetectionTable {}
+
 impl DetectionTable {
-    /// Simulates every defect of `universe` against `stimuli`.
-    ///
-    /// The golden responses are simulated once and shared across defects.
-    /// Uses the bit-parallel packed engine (64 stimuli per solver pass,
-    /// DESIGN.md §12) when the `CA_PACKED` switch allows it and the cell
-    /// compiles to a [`CellKernel`](ca_sim::CellKernel); results are
-    /// bit-identical either way.
+    /// Simulates every defect of `universe` against `stimuli` on the
+    /// bit-parallel packed engine (64 stimuli per solver pass,
+    /// DESIGN.md §12): one kernel compile and one golden solve shared
+    /// by every defect.
     pub fn generate(
         cell: &Cell,
         universe: &DefectUniverse,
         stimuli: &[Stimulus],
         policy: DetectionPolicy,
     ) -> DetectionTable {
-        match ca_sim::packed_kernel(cell) {
-            Some(kernel) => DetectionTable::generate_packed(
-                &Golden::solve(kernel, stimuli.to_vec()),
-                universe,
-                policy,
-            ),
-            None => DetectionTable::generate_scalar(cell, universe, stimuli, policy),
-        }
+        DetectionTable::generate_packed(&Golden::solve(cell, stimuli.to_vec()), universe, policy)
     }
 
-    /// The interpreted per-stimulus path of [`DetectionTable::generate`]
-    /// — always available, and the reference the packed path is
-    /// differentially tested against.
+    /// The scalar reference for [`DetectionTable::generate`]: one
+    /// interpreted [`Simulator`] run per (stimulus, defect) pair. No
+    /// production path calls it; the differential suites compare the
+    /// packed tables against it.
     pub fn generate_scalar(
         cell: &Cell,
         universe: &DefectUniverse,
         stimuli: &[Stimulus],
         policy: DetectionPolicy,
     ) -> DetectionTable {
-        let outputs = cell.outputs().to_vec();
-        let golden_sim = Simulator::new(cell);
-        // Golden response of every output, per stimulus.
-        let golden: Vec<Vec<Value>> = stimuli
-            .iter()
-            .map(|s| {
-                let result = golden_sim.run(s);
-                outputs.iter().map(|&o| result.final_value(o)).collect()
-            })
-            .collect();
-        let mut rows = Vec::with_capacity(universe.len());
-        let mut defect_simulations = 0;
-        for defect in universe.defects() {
-            let faulty_sim = Simulator::with_injection(cell, defect.injection);
-            let mut row = BitRow::zeros(stimuli.len());
-            for (i, stimulus) in stimuli.iter().enumerate() {
-                let result = faulty_sim.run(stimulus);
-                defect_simulations += 1;
-                let detected = outputs
-                    .iter()
-                    .enumerate()
-                    .any(|(oi, &o)| policy.detects(golden[i][oi], result.final_value(o)));
-                row.set(i, detected);
-            }
-            rows.push(row);
-        }
-        DetectionTable {
-            stimuli: stimuli.to_vec(),
-            rows,
+        let Ok(table) = scalar_table(
+            cell,
+            universe.defects(),
+            stimuli,
             policy,
-            defect_simulations,
-        }
+            &SimBudget::unlimited(),
+            |sim, s| Ok::<_, Infallible>(sim.run(s)),
+            || Ok(()),
+        );
+        table
     }
 
-    /// The bit-parallel path of [`DetectionTable::generate`] against an
-    /// already-solved golden ([`Golden::solve`]): every defect is
-    /// evaluated word-parallel over the golden's blocks, with cone
-    /// restriction for stuck-opens, and neither the kernel nor the golden
-    /// is built again.
+    /// [`DetectionTable::generate`] against an already-solved golden
+    /// ([`Golden::solve`]): every defect is evaluated word-parallel over
+    /// the golden's blocks, with cone restriction for stuck-opens, and
+    /// neither the kernel nor the golden is built again.
     ///
     /// `defect_simulations` reports the *logical* simulation count
     /// (defects × stimuli), so the table compares equal to the scalar
@@ -183,128 +170,94 @@ impl DetectionTable {
             unchecked,
         );
         DetectionTable {
-            stimuli: golden.stimuli().to_vec(),
+            stimuli: Arc::clone(golden.stimuli()),
+            n_stimuli,
             rows,
             policy,
             defect_simulations: universe.len() * n_stimuli,
         }
     }
 
-    /// Like [`DetectionTable::generate`], but under a [`SimBudget`] whose
-    /// run is timed by `clock` (started once per run by the caller).
+    /// Like [`DetectionTable::generate_packed`], but under a
+    /// [`SimBudget`] whose run is timed by `clock` (started once per run
+    /// by the caller).
     ///
+    /// `golden` is the checked golden solve of the cell over its full
+    /// stimulus list ([`Golden::solve_checked`]) under the same
+    /// `max_solver_iterations`: an oscillating defect-free cell has
+    /// already failed there, because its truth table is meaningless.
     /// Semantics:
     ///
-    /// - golden simulation must converge: an oscillating defect-free
-    ///   cell is an error ([`SimError::Oscillated`]), because its truth
-    ///   table is meaningless;
     /// - faulty simulation keeps the conservative X-forcing of
-    ///   [`Simulator::run`] — an injected defect may legitimately create
+    ///   unbudgeted runs — an injected defect may legitimately create
     ///   a ring;
-    /// - `max_stimuli` / `max_defects` truncate the work and mark the
+    /// - `max_stimuli` / `max_defects` truncate the work (a prefix of
+    ///   the golden's stimuli, of the universe's defects) and mark the
     ///   result degraded;
-    /// - `clock` is checked *between* stimuli or packed blocks (never
-    ///   mid-solve), golden and faulty alike; expiry is
-    ///   [`SimError::BudgetExceeded`].
-    ///
-    /// `golden`, when given, is the checked golden solve of `cell` over
-    /// `stimuli` under the same `max_solver_iterations`
-    /// ([`Golden::solve_checked`]); the table then reuses its kernel and
-    /// blocks. Without one, the table solves (and checks) the golden
-    /// itself, on the packed engine when it is selected.
+    /// - `clock` is checked *between* packed blocks (never mid-solve);
+    ///   expiry is [`SimError::BudgetExceeded`].
     ///
     /// On success, the table covers `universe.truncated(degraded
     /// defect count)` — callers align their universe with
     /// [`BudgetedTable::defects_covered`].
     pub fn generate_budgeted(
+        golden: &Golden,
+        universe: &DefectUniverse,
+        policy: DetectionPolicy,
+        budget: &SimBudget,
+        clock: &BudgetClock,
+    ) -> Result<BudgetedTable, SimError> {
+        let n_stimuli = budget.clamp_stimuli(golden.stimuli().len());
+        let n_defects = budget.clamp_defects(universe.len());
+        let rows = packed_rows(
+            golden,
+            &universe.defects()[..n_defects],
+            n_stimuli,
+            policy,
+            budget.max_solver_iterations,
+            || check_clock(clock),
+        )?;
+        Ok(BudgetedTable {
+            table: DetectionTable {
+                stimuli: Arc::clone(golden.stimuli()),
+                n_stimuli,
+                rows,
+                policy,
+                defect_simulations: n_defects * n_stimuli,
+            },
+            degraded: n_stimuli < golden.stimuli().len() || n_defects < universe.len(),
+            defects_covered: n_defects,
+        })
+    }
+
+    /// The scalar reference for [`DetectionTable::generate_budgeted`],
+    /// golden check included: after truncating to the budget, every
+    /// kept stimulus's golden must converge under
+    /// `max_solver_iterations` ([`Simulator::try_run`]), then every kept
+    /// defect is simulated with X-forcing, `clock` checked before each
+    /// golden and each faulty run. No production path calls it.
+    pub fn generate_budgeted_scalar(
         cell: &Cell,
         universe: &DefectUniverse,
         stimuli: &[Stimulus],
         policy: DetectionPolicy,
         budget: &SimBudget,
         clock: &BudgetClock,
-        golden: Option<&Golden>,
     ) -> Result<BudgetedTable, SimError> {
         let n_stimuli = budget.clamp_stimuli(stimuli.len());
         let n_defects = budget.clamp_defects(universe.len());
-        let degraded = n_stimuli < stimuli.len() || n_defects < universe.len();
-        let stimuli = &stimuli[..n_stimuli];
-        let defects = &universe.defects()[..n_defects];
-        let solved;
-        let golden = match golden {
-            Some(g) => Some(g),
-            None => match ca_sim::packed_kernel(cell) {
-                Some(kernel) => {
-                    solved = Golden::solve_checked(cell, kernel, stimuli.to_vec(), budget, clock)?;
-                    Some(&solved)
-                }
-                None => None,
-            },
-        };
-        let table = match golden {
-            Some(g) => DetectionTable {
-                stimuli: stimuli.to_vec(),
-                rows: packed_rows(
-                    g,
-                    defects,
-                    n_stimuli,
-                    policy,
-                    budget.max_solver_iterations,
-                    || check_clock(clock),
-                )?,
-                policy,
-                defect_simulations: n_defects * n_stimuli,
-            },
-            None => DetectionTable::budgeted_scalar(cell, defects, stimuli, policy, budget, clock)?,
-        };
         Ok(BudgetedTable {
-            table,
-            degraded,
+            table: scalar_table(
+                cell,
+                &universe.defects()[..n_defects],
+                &stimuli[..n_stimuli],
+                policy,
+                budget,
+                |sim, s| sim.try_run(s),
+                || check_clock(clock),
+            )?,
+            degraded: n_stimuli < stimuli.len() || n_defects < universe.len(),
             defects_covered: n_defects,
-        })
-    }
-
-    /// Post-clamp scalar body of [`DetectionTable::generate_budgeted`].
-    fn budgeted_scalar(
-        cell: &Cell,
-        defects: &[Defect],
-        stimuli: &[Stimulus],
-        policy: DetectionPolicy,
-        budget: &SimBudget,
-        clock: &BudgetClock,
-    ) -> Result<DetectionTable, SimError> {
-        let outputs = cell.outputs().to_vec();
-        let golden_sim = Simulator::with_budget(cell, Injection::None, budget);
-        let golden: Vec<Vec<Value>> = stimuli
-            .iter()
-            .map(|s| {
-                check_clock(clock)?;
-                let result = golden_sim.try_run(s)?;
-                Ok(outputs.iter().map(|&o| result.final_value(o)).collect())
-            })
-            .collect::<Result<_, SimError>>()?;
-        let mut rows = Vec::with_capacity(defects.len());
-        let mut defect_simulations = 0;
-        for defect in defects {
-            let faulty_sim = Simulator::with_budget(cell, defect.injection, budget);
-            let mut row = BitRow::zeros(stimuli.len());
-            for (i, stimulus) in stimuli.iter().enumerate() {
-                check_clock(clock)?;
-                let result = faulty_sim.run(stimulus);
-                defect_simulations += 1;
-                let detected = outputs
-                    .iter()
-                    .enumerate()
-                    .any(|(oi, &o)| policy.detects(golden[i][oi], result.final_value(o)));
-                row.set(i, detected);
-            }
-            rows.push(row);
-        }
-        Ok(DetectionTable {
-            stimuli: stimuli.to_vec(),
-            rows,
-            policy,
-            defect_simulations,
         })
     }
 
@@ -321,7 +274,7 @@ impl DetectionTable {
 
     /// The stimuli the table was generated against.
     pub fn stimuli(&self) -> &[Stimulus] {
-        &self.stimuli
+        &self.stimuli[..self.n_stimuli]
     }
 
     /// Detection row of `defect`.
@@ -386,6 +339,52 @@ fn check_clock(clock: &BudgetClock) -> Result<(), SimError> {
     } else {
         Ok(())
     }
+}
+
+/// The scalar reference body: golden outputs per stimulus through
+/// `golden_run` on a defect-free [`Simulator`] (X-forcing `run`, or
+/// budget-checked `try_run`), then every defect simulated with
+/// X-forcing under `budget`'s iteration cap. `check` runs before every
+/// golden and every faulty run.
+fn scalar_table<E>(
+    cell: &Cell,
+    defects: &[Defect],
+    stimuli: &[Stimulus],
+    policy: DetectionPolicy,
+    budget: &SimBudget,
+    golden_run: impl Fn(&Simulator, &Stimulus) -> Result<SimResult, E>,
+    mut check: impl FnMut() -> Result<(), E>,
+) -> Result<DetectionTable, E> {
+    let outputs = cell.outputs();
+    let golden_sim = Simulator::with_budget(cell, Injection::None, budget);
+    let mut golden: Vec<Vec<Value>> = Vec::with_capacity(stimuli.len());
+    for stimulus in stimuli {
+        check()?;
+        let result = golden_run(&golden_sim, stimulus)?;
+        golden.push(outputs.iter().map(|&o| result.final_value(o)).collect());
+    }
+    let mut rows = Vec::with_capacity(defects.len());
+    for defect in defects {
+        let faulty_sim = Simulator::with_budget(cell, defect.injection, budget);
+        let mut row = BitRow::zeros(stimuli.len());
+        for (i, stimulus) in stimuli.iter().enumerate() {
+            check()?;
+            let result = faulty_sim.run(stimulus);
+            let detected = outputs
+                .iter()
+                .enumerate()
+                .any(|(oi, &o)| policy.detects(golden[i][oi], result.final_value(o)));
+            row.set(i, detected);
+        }
+        rows.push(row);
+    }
+    Ok(DetectionTable {
+        stimuli: stimuli.into(),
+        n_stimuli: stimuli.len(),
+        rows,
+        policy,
+        defect_simulations: defects.len() * stimuli.len(),
+    })
 }
 
 /// Detection rows of `defects` against `golden` over its first
@@ -514,6 +513,13 @@ MN1 net0 B VSS VSS nch
         assert_eq!(a, b);
     }
 
+    /// The checked golden of `cell` over every stimulus, as the
+    /// pipeline's pre-flight solves it.
+    fn checked_golden(cell: &Cell, budget: &SimBudget) -> Golden {
+        let stimuli = Stimulus::all(cell.num_inputs());
+        Golden::solve_checked(cell, stimuli, budget, &budget.start()).expect("NAND2 converges")
+    }
+
     #[test]
     fn unlimited_budget_matches_unbudgeted_generation() {
         let cell = spice::parse_cell(NAND2).unwrap();
@@ -521,14 +527,13 @@ MN1 net0 B VSS VSS nch
         let policy = DetectionPolicy::default();
         let stimuli = Stimulus::all(2);
         let plain = DetectionTable::generate(&cell, &universe, &stimuli, policy);
+        let unlimited = SimBudget::unlimited();
         let budgeted = DetectionTable::generate_budgeted(
-            &cell,
+            &checked_golden(&cell, &unlimited),
             &universe,
-            &stimuli,
             policy,
-            &SimBudget::unlimited(),
-            &SimBudget::unlimited().start(),
-            None,
+            &unlimited,
+            &unlimited.start(),
         )
         .expect("NAND2 characterizes");
         assert!(!budgeted.degraded);
@@ -540,47 +545,51 @@ MN1 net0 B VSS VSS nch
     fn stimulus_and_defect_caps_truncate_and_degrade() {
         let cell = spice::parse_cell(NAND2).unwrap();
         let universe = DefectUniverse::intra_transistor(&cell);
-        let stimuli = Stimulus::all(2);
+        let policy = DetectionPolicy::default();
         let budget = SimBudget {
             max_stimuli: Some(4),
             max_defects: Some(10),
             ..SimBudget::unlimited()
         };
-        let b = DetectionTable::generate_budgeted(
-            &cell,
-            &universe,
-            &stimuli,
-            DetectionPolicy::default(),
-            &budget,
-            &budget.start(),
-            None,
-        )
-        .expect("truncation is not an error");
+        let golden = checked_golden(&cell, &budget);
+        let b =
+            DetectionTable::generate_budgeted(&golden, &universe, policy, &budget, &budget.start())
+                .expect("truncation is not an error");
         assert!(b.degraded);
         assert_eq!(b.defects_covered, 10);
         assert_eq!(b.table.rows().len(), 10);
-        assert_eq!(b.table.stimuli().len(), 4);
+        assert_eq!(b.table.stimuli(), &golden.stimuli()[..4]);
         assert_eq!(b.table.defect_simulations(), 40);
+        // The table shares the golden's list yet equals the scalar
+        // reference, which holds only the prefix.
+        let scalar = DetectionTable::generate_budgeted_scalar(
+            &cell,
+            &universe,
+            golden.stimuli(),
+            policy,
+            &budget,
+            &budget.start(),
+        );
+        assert_eq!(Ok(b), scalar);
     }
 
     #[test]
     fn expired_wall_clock_is_budget_exceeded() {
         let cell = spice::parse_cell(NAND2).unwrap();
         let universe = DefectUniverse::intra_transistor(&cell);
+        let golden = checked_golden(&cell, &SimBudget::unlimited());
         let budget = SimBudget {
             wall_clock: Some(std::time::Duration::ZERO),
             ..SimBudget::unlimited()
         };
         let err = DetectionTable::generate_budgeted(
-            &cell,
+            &golden,
             &universe,
-            &Stimulus::all(2),
             DetectionPolicy::default(),
             &budget,
             &budget.start(),
-            None,
         )
-        .expect_err("zero deadline expires before the first stimulus");
+        .expect_err("zero deadline expires before the first faulty block");
         assert_eq!(
             err,
             SimError::BudgetExceeded {

@@ -22,17 +22,38 @@ use std::time::Instant;
 /// Schema tag embedded in (and required from) `BENCH_profile.json`.
 pub const PROFILE_SCHEMA: &str = "ca-obs-profile/1";
 
-/// Process CPU time (user + system) in seconds, read from
-/// `/proc/self/stat`. Best-effort: `None` off Linux or on parse
-/// trouble. Assumes the (universal in practice) USER_HZ of 100.
+/// Process CPU time (user + system, all threads) in seconds, read from
+/// `clock_gettime(CLOCK_PROCESS_CPUTIME_ID)` at nanosecond resolution,
+/// so millisecond stages read non-zero. `std` already links the C
+/// library on Linux, so the raw binding adds no dependency.
+/// Best-effort: `None` off Linux or when the call fails.
 pub fn cpu_time_s() -> Option<f64> {
-    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
-    // comm may contain spaces/parens; fields resume after the last ')'.
-    let rest = &stat[stat.rfind(')')? + 1..];
-    let fields: Vec<&str> = rest.split_whitespace().collect();
-    let utime: u64 = fields.get(11)?.parse().ok()?;
-    let stime: u64 = fields.get(12)?.parse().ok()?;
-    Some((utime + stime) as f64 / 100.0)
+    #[cfg(target_os = "linux")]
+    {
+        use std::os::raw::{c_int, c_long};
+        /// `CLOCK_PROCESS_CPUTIME_ID` in the Linux UAPI.
+        const CLOCK_PROCESS_CPUTIME_ID: c_int = 2;
+        /// `struct timespec`: both fields are a C `long` on Linux.
+        #[repr(C)]
+        struct Timespec {
+            tv_sec: c_long,
+            tv_nsec: c_long,
+        }
+        extern "C" {
+            fn clock_gettime(clock_id: c_int, tp: *mut Timespec) -> c_int;
+        }
+        let mut ts = Timespec {
+            tv_sec: 0,
+            tv_nsec: 0,
+        };
+        // SAFETY: `clock_gettime(2)` is called with a valid clock id and
+        // a pointer to a live, properly aligned `#[repr(C)]` timespec it
+        // only writes; on failure it returns -1 and leaves `ts` as is.
+        let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+        (rc == 0).then_some(ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9)
+    }
+    #[cfg(not(target_os = "linux"))]
+    None
 }
 
 /// One profiled stage: the registry delta it produced plus its clocks.
@@ -476,8 +497,27 @@ mod tests {
     #[test]
     fn cpu_time_reads_on_linux() {
         if cfg!(target_os = "linux") {
-            let cpu = cpu_time_s().expect("/proc/self/stat parses");
+            let cpu = cpu_time_s().expect("the process CPU clock reads");
             assert!(cpu >= 0.0);
+        }
+    }
+
+    /// A busy loop far shorter than a 10 ms scheduler tick still reads a
+    /// non-zero CPU delta, every time.
+    #[test]
+    fn sub_tick_busy_loops_read_nonzero_cpu_time() {
+        if !cfg!(target_os = "linux") {
+            return;
+        }
+        for _ in 0..5 {
+            let before = cpu_time_s().expect("the process CPU clock reads");
+            let wall = Instant::now();
+            let mut x = 0u64;
+            while wall.elapsed() < std::time::Duration::from_millis(1) {
+                x = std::hint::black_box(x.wrapping_mul(31).wrapping_add(7));
+            }
+            let after = cpu_time_s().expect("the process CPU clock reads");
+            assert!(after > before, "1 ms of busy work read {before} -> {after}");
         }
     }
 

@@ -28,10 +28,12 @@ pub struct Golden {
 }
 
 impl Golden {
-    /// Solves every stimulus with the natural iteration bound, forcing
-    /// non-convergent nets to `X` — the packed counterpart of
-    /// [`Simulator::run`](crate::Simulator::run) over the whole list.
-    pub fn solve(kernel: CellKernel, stimuli: Vec<Stimulus>) -> Golden {
+    /// Compiles `cell` and solves every stimulus with the natural
+    /// iteration bound, forcing non-convergent nets to `X` — what the
+    /// scalar reference [`Simulator::run`](crate::Simulator::run) gives
+    /// over the whole list.
+    pub fn solve(cell: &Cell, stimuli: Vec<Stimulus>) -> Golden {
+        let kernel = CellKernel::compile(cell);
         let packed = PackedStimulus::pack(kernel.n_inputs(), &stimuli);
         let blocks = {
             let sim = PackedSim::new(&kernel, Injection::None, None);
@@ -45,10 +47,11 @@ impl Golden {
         }
     }
 
-    /// Solves every stimulus under `budget`'s `max_solver_iterations`,
-    /// requiring convergence — the packed counterpart of
-    /// [`Simulator::try_run`](crate::Simulator::try_run) over the whole
-    /// list. `clock` is checked before each block, never mid-solve.
+    /// Compiles `cell` and solves every stimulus under `budget`'s
+    /// `max_solver_iterations`, requiring convergence — the verdict the
+    /// scalar reference [`Simulator::try_run`](crate::Simulator::try_run)
+    /// gives over the whole list. `clock` is checked before each block,
+    /// never mid-solve.
     ///
     /// # Errors
     ///
@@ -59,11 +62,11 @@ impl Golden {
     /// an oscillation, or `"solver iterations"` for a reduced cap.
     pub fn solve_checked(
         cell: &Cell,
-        kernel: CellKernel,
         stimuli: Vec<Stimulus>,
         budget: &SimBudget,
         clock: &BudgetClock,
     ) -> Result<Golden, SimError> {
+        let kernel = CellKernel::compile(cell);
         let packed = PackedStimulus::pack(kernel.n_inputs(), &stimuli);
         let mut blocks = Vec::with_capacity(packed.blocks().len());
         {
@@ -184,9 +187,8 @@ MN1 net0 A VSS VSS nch
     }
 
     fn packed_check(cell: &Cell, budget: &SimBudget) -> Result<Golden, SimError> {
-        let kernel = CellKernel::compile(cell).unwrap();
         let stimuli = Stimulus::all(cell.num_inputs());
-        Golden::solve_checked(cell, kernel, stimuli, budget, &budget.start())
+        Golden::solve_checked(cell, stimuli, budget, &budget.start())
     }
 
     #[test]
@@ -212,10 +214,7 @@ MN1 net0 A VSS VSS nch
     fn converged_golden_equals_the_unchecked_solve() {
         let cell = spice::parse_cell(NAND2).unwrap();
         let checked = packed_check(&cell, &SimBudget::unlimited()).unwrap();
-        let plain = Golden::solve(
-            CellKernel::compile(&cell).unwrap(),
-            Stimulus::all(cell.num_inputs()),
-        );
+        let plain = Golden::solve(&cell, Stimulus::all(cell.num_inputs()));
         assert_eq!(checked.stimuli(), plain.stimuli());
         assert_eq!(checked.blocks().len(), plain.blocks().len());
         for (a, b) in checked.blocks().iter().zip(plain.blocks()) {

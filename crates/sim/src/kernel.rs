@@ -6,20 +6,11 @@
 //! transistor objects on every solve; a [`CellKernel`] pays that walk
 //! once and stores only the integers the inner loops need — per
 //! transistor the gate/channel net indices and polarity, plus the driver
-//! nets. The compiler *declines* pathological cells (see
-//! [`CellKernel::compile`]) so callers always have the interpreted
-//! scalar path to fall back to; compile and decline counts are reported
-//! as `ca_sim.kernel.{compiled,fallback}`.
+//! nets. Every cell compiles: the packed engine is the only production
+//! simulation path, and compiles are counted as
+//! `ca_sim.kernel.compiled`.
 
 use ca_netlist::{Cell, MosKind, Terminal};
-
-/// Largest net count the kernel compiler accepts. Beyond this the
-/// packed solver's dense per-net planes stop paying for themselves and
-/// the caller falls back to the interpreted scalar path.
-pub const MAX_KERNEL_NETS: usize = 512;
-
-/// Largest transistor count the kernel compiler accepts.
-pub const MAX_KERNEL_TRANSISTORS: usize = 2048;
 
 /// One cell's channel graph compiled to flat struct-of-arrays tables.
 ///
@@ -43,17 +34,9 @@ pub struct CellKernel {
 }
 
 impl CellKernel {
-    /// Compiles `cell` into a kernel, or declines (`None`) when the cell
-    /// is outside the compiler's envelope ([`MAX_KERNEL_NETS`] /
-    /// [`MAX_KERNEL_TRANSISTORS`]). Every decision bumps
-    /// `ca_sim.kernel.compiled` or `ca_sim.kernel.fallback`.
-    pub fn compile(cell: &Cell) -> Option<CellKernel> {
-        let n_nets = cell.nets().len();
+    /// Compiles `cell` into a kernel, bumping `ca_sim.kernel.compiled`.
+    pub fn compile(cell: &Cell) -> CellKernel {
         let n_transistors = cell.num_transistors();
-        if n_nets > MAX_KERNEL_NETS || n_transistors > MAX_KERNEL_TRANSISTORS {
-            ca_obs::counter!("ca_sim.kernel.fallback", Work).inc();
-            return None;
-        }
         let mut t_gate = Vec::with_capacity(n_transistors);
         let mut t_drain = Vec::with_capacity(n_transistors);
         let mut t_source = Vec::with_capacity(n_transistors);
@@ -67,8 +50,8 @@ impl CellKernel {
             t_pmos.push(t.kind() == MosKind::Pmos);
         }
         ca_obs::counter!("ca_sim.kernel.compiled", Work).inc();
-        Some(CellKernel {
-            n_nets,
+        CellKernel {
+            n_nets: cell.nets().len(),
             n_inputs: cell.num_inputs(),
             power: cell.power().index(),
             ground: cell.ground().index(),
@@ -79,7 +62,7 @@ impl CellKernel {
             t_source,
             t_bulk,
             t_pmos,
-        })
+        }
     }
 
     /// Number of nets.
@@ -166,7 +149,7 @@ MN1 net0 B VSS VSS nch
     #[test]
     fn compiles_small_cells() {
         let cell = spice::parse_cell(NAND2).unwrap();
-        let kernel = CellKernel::compile(&cell).expect("NAND2 compiles");
+        let kernel = CellKernel::compile(&cell);
         assert_eq!(kernel.n_nets(), cell.nets().len());
         assert_eq!(kernel.n_transistors(), 4);
         assert_eq!(kernel.n_inputs(), 2);
@@ -186,7 +169,7 @@ MN1 net0 B VSS VSS nch
     #[test]
     fn flat_tables_mirror_the_cell() {
         let cell = spice::parse_cell(NAND2).unwrap();
-        let kernel = CellKernel::compile(&cell).unwrap();
+        let kernel = CellKernel::compile(&cell);
         for (id, t) in cell.transistor_ids() {
             let i = id.index();
             assert_eq!(kernel.gate(i), t.gate().index());

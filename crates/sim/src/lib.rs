@@ -8,8 +8,12 @@
 //!   covering the full `4^n` static + dynamic pattern space;
 //! - steady-state solving by fixpoint over a conduction graph, with
 //!   *must/may* rail reachability, strength-aware fight resolution (shorts
-//!   beat channels) and charge retention on floating nodes
-//!   ([`solver::CellGraph`]);
+//!   beat channels) and charge retention on floating nodes;
+//! - one simulation engine: the bit-parallel packed solver ([`packed`]),
+//!   64 stimuli per fixpoint pass over a compiled [`CellKernel`]. The
+//!   interpreted scalar solver ([`solver::CellGraph`], [`Simulator`]) is
+//!   kept only as the independent reference the packed engine is
+//!   differentially tested against ([`detection_row_scalar`]);
 //! - first-class defect injection ([`Injection`]): terminal opens,
 //!   terminal-terminal shorts and net-net shorts;
 //! - one packed golden solve per cell ([`Golden`]), shared by the
@@ -56,10 +60,7 @@ pub use budget::{BudgetClock, SimBudget, SimError};
 pub use golden::Golden;
 pub use injection::Injection;
 pub use kernel::CellKernel;
-pub use packed::{
-    packed_enabled, packed_kernel, set_packed_override, BlockResult, LaneOutcome, PackedSim,
-    PackedStimulus, PackedValue, StimulusBlock,
-};
+pub use packed::{BlockResult, LaneOutcome, PackedSim, PackedStimulus, PackedValue, StimulusBlock};
 pub use simulator::{detection_row, detection_row_scalar, DetectionPolicy, SimResult, Simulator};
 pub use solver::SolveOutcome;
 pub use values::{Stimulus, Value, Wave};

@@ -27,18 +27,17 @@
 //! skips them and reuses the cached golden bitplanes
 //! (`ca_sim.packed.cone_skips`).
 //!
-//! The packed path is selected by the `CA_PACKED` environment switch
-//! (default **on**; `0`/`off`/`false` disable) read by
-//! [`packed_enabled`], with a process-local programmatic override for
-//! benches and tests ([`set_packed_override`]).
+//! This is the only production simulation engine: the golden solve
+//! ([`Golden`](crate::Golden)), [`detection_row`](crate::detection_row)
+//! and every detection table run on it. The scalar solver
+//! ([`CellGraph`], [`Simulator`](crate::Simulator)) is kept as the
+//! independent reference the differential suites compare it against.
 
 use crate::injection::Injection;
 use crate::kernel::CellKernel;
 use crate::simulator::DetectionPolicy;
 use crate::solver::CellGraph;
 use crate::values::{Stimulus, Value};
-use ca_netlist::Cell;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Number of stimulus lanes per packed word.
 pub const LANES: usize = 64;
@@ -775,90 +774,6 @@ pub fn detect_mask(
     detected & golden.lanes
 }
 
-// --- CA_PACKED switch ----------------------------------------------------
-
-/// Process-local override of the `CA_PACKED` switch:
-/// 0 = none (read the environment), 1 = force on, 2 = force off.
-static PACKED_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Programmatically forces the packed engine on/off (`Some`) or restores
-/// the `CA_PACKED` environment switch (`None`). Meant for benches and
-/// differential tests that must pin one path regardless of environment.
-pub fn set_packed_override(mode: Option<bool>) {
-    let v = match mode {
-        None => 0,
-        Some(true) => 1,
-        Some(false) => 2,
-    };
-    PACKED_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// Whether the packed engine is selected. Defaults to **on**; the
-/// `CA_PACKED` environment variable set to `0`, `off` or `false`
-/// disables it (any other value enables). A programmatic override
-/// ([`set_packed_override`]) wins over the environment. Read fresh on
-/// every call so tests can toggle it.
-pub fn packed_enabled() -> bool {
-    match PACKED_OVERRIDE.load(Ordering::Relaxed) {
-        1 => return true,
-        2 => return false,
-        _ => {}
-    }
-    match std::env::var("CA_PACKED") {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !(v == "0" || v == "off" || v == "false")
-        }
-        Err(_) => true,
-    }
-}
-
-/// The kernel the packed engine runs `cell` on: `None` when the switch
-/// is off ([`packed_enabled`]) or the compiler declines the cell — that
-/// is, whenever the caller must take the scalar path.
-pub fn packed_kernel(cell: &Cell) -> Option<CellKernel> {
-    if packed_enabled() {
-        CellKernel::compile(cell)
-    } else {
-        None
-    }
-}
-
-/// Packed implementation of [`detection_row`](crate::detection_row):
-/// golden blocks solved once, every lane of every block compared under
-/// `policy`, with cone restriction for `Open` injections. Returns
-/// `None` when the kernel compiler declines the cell.
-pub fn detection_flags(
-    cell: &Cell,
-    injection: Injection,
-    stimuli: &[Stimulus],
-    policy: DetectionPolicy,
-) -> Option<Vec<bool>> {
-    let kernel = CellKernel::compile(cell)?;
-    // One trace span per packed batch (a whole golden+faulty sweep for
-    // one injection), not per 64-lane block: coarse enough to stay
-    // within the event cap and the <3% tracing-overhead budget.
-    let _span = ca_obs::trace::span("packed_batch");
-    let packed = PackedStimulus::pack(cell.num_inputs(), stimuli);
-    let outputs: Vec<usize> = cell.outputs().iter().map(|o| o.index()).collect();
-    let golden = PackedSim::new(&kernel, Injection::None, None);
-    let faulty = PackedSim::new(&kernel, injection, None);
-    let open_t = match injection {
-        Injection::Open { transistor, .. } => Some(transistor.index()),
-        _ => None,
-    };
-    let mut flags = Vec::with_capacity(stimuli.len());
-    for block in packed.blocks() {
-        let g = golden.run_block(block);
-        let f = faulty.run_block_against(block, &g, open_t);
-        let mask = detect_mask(&g, &f, &outputs, policy);
-        for lane in 0..block.occupancy() {
-            flags.push(mask & (1u64 << lane) != 0);
-        }
-    }
-    Some(flags)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -927,7 +842,7 @@ MN1 net0 A VSS VSS nch
     #[test]
     fn golden_block_matches_scalar() {
         let cell = spice::parse_cell(NAND2).unwrap();
-        let kernel = CellKernel::compile(&cell).unwrap();
+        let kernel = CellKernel::compile(&cell);
         let stimuli = Stimulus::all(2);
         let packed = PackedStimulus::pack(2, &stimuli);
         let sim = PackedSim::new(&kernel, Injection::None, None);
@@ -954,7 +869,7 @@ MN1 net0 A VSS VSS nch
     #[test]
     fn faulty_blocks_match_scalar() {
         let cell = spice::parse_cell(NAND2).unwrap();
-        let kernel = CellKernel::compile(&cell).unwrap();
+        let kernel = CellKernel::compile(&cell);
         let stimuli = Stimulus::all(2);
         let packed = PackedStimulus::pack(2, &stimuli);
         let golden = PackedSim::new(&kernel, Injection::None, None).run_block(&packed.blocks()[0]);
@@ -1005,46 +920,12 @@ MN1 net0 A VSS VSS nch
         }
     }
 
-    #[test]
-    fn detection_flags_match_scalar_rows() {
-        let cell = spice::parse_cell(NAND2).unwrap();
-        let stimuli = Stimulus::all(2);
-        let mn0 = cell.find_transistor("MN0").unwrap();
-        for injection in [
-            Injection::Open {
-                transistor: mn0,
-                terminal: Terminal::Source,
-            },
-            Injection::Short {
-                transistor: mn0,
-                a: Terminal::Drain,
-                b: Terminal::Source,
-            },
-        ] {
-            let policy = DetectionPolicy::default();
-            let golden = Simulator::new(&cell);
-            let faulty = Simulator::with_injection(&cell, injection);
-            let scalar: Vec<bool> = stimuli
-                .iter()
-                .map(|s| {
-                    let g = golden.run(s);
-                    let f = faulty.run(s);
-                    cell.outputs()
-                        .iter()
-                        .any(|&o| policy.detects(g.final_value(o), f.final_value(o)))
-                })
-                .collect();
-            let packed = detection_flags(&cell, injection, &stimuli, policy).unwrap();
-            assert_eq!(packed, scalar, "{injection}");
-        }
-    }
-
     /// Per-lane oscillation and budget classes mirror the scalar
     /// checked solver, including the forced-Xd values.
     #[test]
     fn lane_outcomes_mirror_scalar_classes() {
         let cell = spice::parse_cell(RING).unwrap();
-        let kernel = CellKernel::compile(&cell).unwrap();
+        let kernel = CellKernel::compile(&cell);
         let stimuli = vec![
             Stimulus::static_pattern(1, 0),
             Stimulus::from_patterns(1, 0, 1),
@@ -1094,7 +975,7 @@ MN1 net0 A VSS VSS nch
     #[test]
     fn unstable_nets_match_scalar() {
         let cell = spice::parse_cell(RING).unwrap();
-        let kernel = CellKernel::compile(&cell).unwrap();
+        let kernel = CellKernel::compile(&cell);
         let stimuli = vec![Stimulus::from_patterns(1, 0, 1)];
         let packed = PackedStimulus::pack(1, &stimuli);
         let block = PackedSim::new(&kernel, Injection::None, None).run_block(&packed.blocks()[0]);
@@ -1121,7 +1002,7 @@ MN1 net0 A VSS VSS nch
     #[test]
     fn cone_restriction_skips_inactive_lanes() {
         let cell = spice::parse_cell(NAND2).unwrap();
-        let kernel = CellKernel::compile(&cell).unwrap();
+        let kernel = CellKernel::compile(&cell);
         let stimuli = Stimulus::all(2);
         let packed = PackedStimulus::pack(2, &stimuli);
         let golden = PackedSim::new(&kernel, Injection::None, None).run_block(&packed.blocks()[0]);
@@ -1153,14 +1034,5 @@ MN1 net0 A VSS VSS nch
                 );
             }
         }
-    }
-
-    #[test]
-    fn override_wins_over_environment() {
-        set_packed_override(Some(false));
-        assert!(!packed_enabled());
-        set_packed_override(Some(true));
-        assert!(packed_enabled());
-        set_packed_override(None);
     }
 }

@@ -1,7 +1,17 @@
-//! Public simulation API: golden and defective cell simulation, detection.
+//! Public simulation API: detection policies, [`detection_row`] (on the
+//! packed engine) and the interpreted scalar [`Simulator`].
+//!
+//! The scalar simulator solves one stimulus at a time over
+//! [`CellGraph`]. No production path runs it: it is the independent
+//! reference the packed engine is differentially tested against
+//! ([`detection_row_scalar`] and the `ca-defects` `*_scalar` tables),
+//! and the tester-like [`Simulator::run_sequence`] of the diagnosis
+//! examples.
 
 use crate::budget::{SimBudget, SimError};
 use crate::injection::Injection;
+use crate::kernel::CellKernel;
+use crate::packed::{detect_mask, PackedSim, PackedStimulus};
 use crate::solver::{CellGraph, SolveOutcome};
 use crate::values::{Stimulus, Value, Wave};
 use ca_netlist::{Cell, NetId};
@@ -105,7 +115,9 @@ impl SimResult {
     }
 }
 
-/// Switch-level simulator for one cell with one (optional) injected defect.
+/// Switch-level simulator for one cell with one (optional) injected
+/// defect, one stimulus per solve: the scalar reference of the packed
+/// engine (see the module docs).
 ///
 /// # Example
 ///
@@ -277,27 +289,42 @@ impl<'c> Simulator<'c> {
 /// detects when *any* output pin deviates (multi-output cells are fully
 /// observed).
 ///
-/// Returns one flag per stimulus, in order. Uses the bit-parallel packed
-/// engine (64 stimuli per solver pass) when the `CA_PACKED` switch allows
-/// it and the cell compiles to a kernel; the flags are bit-identical
-/// either way.
+/// Returns one flag per stimulus, in order. Runs on the bit-parallel
+/// packed engine (64 stimuli per solver pass, DESIGN.md §12): golden
+/// blocks solved once, every lane compared under `policy`, with cone
+/// restriction for `Open` injections.
 pub fn detection_row(
     cell: &Cell,
     injection: Injection,
     stimuli: &[Stimulus],
     policy: DetectionPolicy,
 ) -> Vec<bool> {
-    if crate::packed::packed_enabled() {
-        if let Some(flags) = crate::packed::detection_flags(cell, injection, stimuli, policy) {
-            return flags;
-        }
+    let kernel = CellKernel::compile(cell);
+    // One trace span per packed batch (a whole golden+faulty sweep for
+    // one injection), not per 64-lane block: coarse enough to stay
+    // within the event cap and the <3% tracing-overhead budget.
+    let _span = ca_obs::trace::span("packed_batch");
+    let packed = PackedStimulus::pack(cell.num_inputs(), stimuli);
+    let golden = PackedSim::new(&kernel, Injection::None, None);
+    let faulty = PackedSim::new(&kernel, injection, None);
+    let open_t = match injection {
+        Injection::Open { transistor, .. } => Some(transistor.index()),
+        _ => None,
+    };
+    let mut flags = Vec::with_capacity(stimuli.len());
+    for block in packed.blocks() {
+        let g = golden.run_block(block);
+        let f = faulty.run_block_against(block, &g, open_t);
+        let mask = detect_mask(&g, &f, kernel.outputs(), policy);
+        flags.extend((0..block.occupancy()).map(|lane| mask & (1u64 << lane) != 0));
     }
-    detection_row_scalar(cell, injection, stimuli, policy)
+    flags
 }
 
-/// The interpreted per-stimulus path of [`detection_row`] — always
-/// available, and the reference the packed path is differentially tested
-/// against.
+/// The scalar reference for [`detection_row`]: one interpreted
+/// [`Simulator`] run per stimulus, golden and faulty. No production
+/// path calls it; the differential suites compare the packed engine
+/// against it.
 pub fn detection_row_scalar(
     cell: &Cell,
     injection: Injection,
@@ -506,5 +533,31 @@ MN1 net0 A VSS VSS nch
         let cell = spice::parse_cell(NAND2).unwrap();
         let sim = Simulator::new(&cell);
         let _ = sim.run(&Stimulus::static_pattern(3, 0));
+    }
+
+    #[test]
+    fn detection_row_matches_the_scalar_reference() {
+        let cell = spice::parse_cell(NAND2).unwrap();
+        let stimuli = Stimulus::all(2);
+        let mn0 = cell.find_transistor("MN0").unwrap();
+        for injection in [
+            Injection::Open {
+                transistor: mn0,
+                terminal: Terminal::Source,
+            },
+            Injection::Short {
+                transistor: mn0,
+                a: Terminal::Drain,
+                b: Terminal::Source,
+            },
+        ] {
+            for policy in [DetectionPolicy::default(), DetectionPolicy::pessimistic()] {
+                assert_eq!(
+                    detection_row(&cell, injection, &stimuli, policy),
+                    detection_row_scalar(&cell, injection, &stimuli, policy),
+                    "{injection}"
+                );
+            }
+        }
     }
 }

@@ -19,10 +19,10 @@ CA_THREADS=1 cargo test -q --workspace --offline
 echo "==> cargo test (offline, CA_THREADS=4)"
 CA_THREADS=4 cargo test -q --workspace --offline
 
-# The packed engine is only allowed to exist because it is bit-identical
-# to the scalar solver (DESIGN.md §12). Run the differential suite at
-# both thread counts, then the full suite once with the packed path
-# forced off so the scalar reference stays green on its own.
+# The packed engine is the only production simulation path, and it is
+# only allowed to be because it is bit-identical to the scalar reference
+# solver (DESIGN.md §12). Run the differential suite at both thread
+# counts.
 echo "==> packed equivalence (packed vs scalar, CA_THREADS=1)"
 CA_THREADS=1 cargo test -q --test packed_equivalence --offline
 
@@ -31,14 +31,12 @@ CA_THREADS=4 cargo test -q --test packed_equivalence --offline
 
 # The golden pre-flight solves each cell once on the packed engine and
 # hands that solve to activation extraction and the detection table; it
-# is only allowed to exist because every cell gets the scalar
-# pre-flight's verdict and bytes (DESIGN.md §17). Run the differential
-# suite optimized, at both packed settings and both thread counts.
-for packed in 0 1; do
-    for threads in 1 4; do
-        echo "==> golden pre-flight (packed vs scalar, release, CA_PACKED=$packed CA_THREADS=$threads)"
-        CA_PACKED=$packed CA_THREADS=$threads cargo test -q --release --offline --test golden_preflight
-    done
+# is only allowed to exist because every stage gives every cell the
+# scalar reference's verdict, waves and rows (DESIGN.md §17). Run the
+# differential suite optimized, at both thread counts.
+for threads in 1 4; do
+    echo "==> golden pre-flight (packed vs scalar, release, CA_THREADS=$threads)"
+    CA_THREADS=$threads cargo test -q --release --offline --test golden_preflight
 done
 
 # Batched forest inference is only allowed to exist because it predicts
@@ -52,9 +50,6 @@ CA_THREADS=1 cargo test -q --release --offline -p ca-core --test ml_inference
 echo "==> forest inference (batched vs per-row, release, CA_THREADS=4)"
 CA_THREADS=4 cargo test -q --release --offline -p ca-ml --test forest_inference
 CA_THREADS=4 cargo test -q --release --offline -p ca-core --test ml_inference
-
-echo "==> cargo test (offline, CA_PACKED=0 scalar path)"
-CA_PACKED=0 cargo test -q --workspace --offline
 
 # The crash-recovery suite SIGKILLs child runs mid-library and proves the
 # session store resumes to byte-identical outputs (DESIGN.md §8). Run it

@@ -1,29 +1,26 @@
-//! Differential gate for the golden pre-flight (DESIGN.md §17): the
-//! packed pre-flight, whose one golden solve also feeds activation
-//! extraction and the detection table, must give every cell the verdict
-//! the scalar `try_run` pre-flight gives it.
-//!
-//! For every cell of a salted library, under every budget, the robust
-//! driver runs with the packed engine forced on and forced off, at one
-//! and at four threads. Each run must quarantine the same cells with the
-//! same `(phase, reason, retries)` and export the same `.cam` bytes for
-//! the rest.
+//! Differential gate for the per-cell pipeline (DESIGN.md §17). For
+//! every cell of a salted library, under every budget, each packed
+//! stage must agree with its scalar reference: the pre-flight verdict
+//! (`Golden::solve_checked` vs. a `Simulator::try_run` loop), the
+//! activation (`Activation::extract` vs. waves read with
+//! `SimResult::wave`) and the budgeted table (`generate_budgeted` vs.
+//! `generate_budgeted_scalar`). The robust driver, at one and at four
+//! threads, must then give each cell the verdict the scalar stages
+//! predict: a quarantine with the scalar error, or the `.cam` bytes of
+//! the model of the scalar table.
 
 use ca_core::{
-    characterize_library_robust_with, CharCache, Executor, FailurePhase, FaultPolicy, RobustOutcome,
+    characterize_library_robust_with, Activation, CharCache, CoreError, Executor, FailurePhase,
+    FaultPolicy,
 };
-use ca_defects::{to_cam, GenerateOptions};
+use ca_defects::{to_cam, CaModel, DefectUniverse, DetectionTable, GenerateOptions};
 use ca_netlist::corrupt::{corrupt_cell, salt_library, Corruption};
 use ca_netlist::library::{generate_library, Library, LibraryCell, LibraryConfig};
-use ca_netlist::Technology;
-use ca_sim::{set_packed_override, SimBudget};
+use ca_netlist::lint::{lint, Severity};
+use ca_netlist::{Cell, MosKind, Technology};
+use ca_sim::{Golden, Injection, SimBudget, SimError, Simulator, Stimulus, Wave};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 use std::time::Duration;
-
-/// The packed switch is process-global: runs that pin it must not
-/// interleave.
-static PACKED_SWITCH: Mutex<()> = Mutex::new(());
 
 /// One cell's outcome: its `.cam` bytes, or its quarantine verdict.
 #[derive(Debug, PartialEq, Eq)]
@@ -32,18 +29,13 @@ enum Verdict {
     Quarantined(FailurePhase, String, u32),
 }
 
-fn verdicts(outcome: &RobustOutcome) -> BTreeMap<String, Verdict> {
-    let models = outcome.prepared.iter().map(|p| {
-        let model = p.model.as_ref().expect("characterized cells carry a model");
-        (p.cell.name().to_string(), Verdict::Model(to_cam(model)))
-    });
-    let quarantined = outcome.quarantine.entries.iter().map(|e| {
-        (
-            e.cell.clone(),
-            Verdict::Quarantined(e.phase, e.reason.clone(), e.retries),
-        )
-    });
-    models.chain(quarantined).collect()
+/// What the scalar references predict for one cell: its exact verdict,
+/// or only the phase of a failure no simulation decides (lint,
+/// multi-output cells).
+#[derive(Debug)]
+enum Expected {
+    Exactly(Verdict),
+    Phase(FailurePhase),
 }
 
 /// The budgets of the matrix: each solver iteration cap, then a wall
@@ -63,8 +55,7 @@ fn budgets() -> Vec<SimBudget> {
     budgets
 }
 
-fn run(lib: &Library, budget: &SimBudget, packed: bool, threads: usize) -> RobustOutcome {
-    set_packed_override(Some(packed));
+fn run(lib: &Library, budget: &SimBudget, threads: usize) -> BTreeMap<String, Verdict> {
     let outcome = characterize_library_robust_with(
         lib,
         GenerateOptions::default(),
@@ -72,34 +63,173 @@ fn run(lib: &Library, budget: &SimBudget, packed: bool, threads: usize) -> Robus
         FaultPolicy::SkipAndReport,
         &Executor::with_threads(threads),
         &CharCache::new(),
-    );
-    set_packed_override(None);
-    outcome.expect("SkipAndReport never fails the batch")
+    )
+    .expect("SkipAndReport never fails the batch");
+    let models = outcome.prepared.iter().map(|p| {
+        let model = p.model.as_ref().expect("characterized cells carry a model");
+        (p.cell.name().to_string(), Verdict::Model(to_cam(model)))
+    });
+    let quarantined = outcome.quarantine.entries.iter().map(|e| {
+        (
+            e.cell.clone(),
+            Verdict::Quarantined(e.phase, e.reason.clone(), e.retries),
+        )
+    });
+    models.chain(quarantined).collect()
 }
 
-/// Asserts the packed and scalar pre-flights agree on every cell of
-/// `lib` under every budget, at one and four threads. Returns the
-/// scalar single-thread verdicts per budget for corpus checks.
-fn assert_preflights_agree(lib: &Library) -> Vec<BTreeMap<String, Verdict>> {
-    let _switch = PACKED_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
-    let mut reference = Vec::new();
+/// The scalar pre-flight: `try_run` over every stimulus in order, the
+/// wall clock checked before each.
+fn scalar_preflight(cell: &Cell, stimuli: &[Stimulus], budget: &SimBudget) -> Result<(), SimError> {
+    let clock = budget.start();
+    let sim = Simulator::with_budget(cell, Injection::None, budget);
+    for stimulus in stimuli {
+        if clock.expired() {
+            return Err(SimError::BudgetExceeded {
+                resource: "wall clock",
+            });
+        }
+        sim.try_run(stimulus)?;
+    }
+    Ok(())
+}
+
+/// The quarantine verdict of a simulation failure of `cell` in `phase`.
+fn sim_failure(cell: &Cell, phase: FailurePhase, err: SimError) -> Expected {
+    let cell = cell.name().to_string();
+    let err = match err {
+        SimError::Oscillated { nets } => CoreError::SolverDiverged { cell, nets },
+        SimError::BudgetExceeded { resource } => CoreError::BudgetExceeded {
+            cell,
+            resource: resource.to_string(),
+        },
+    };
+    Expected::Exactly(Verdict::Quarantined(phase, err.to_string(), 0))
+}
+
+/// Scalar output and activity waves per stimulus (an NMOS is active on
+/// gate 1, a PMOS on gate 0), or the first stimulus with a non-binary
+/// output or gate.
+#[allow(clippy::type_complexity)]
+fn scalar_waves(cell: &Cell, stimuli: &[Stimulus]) -> Result<(Vec<Wave>, Vec<Vec<Wave>>), usize> {
+    let sim = Simulator::new(cell);
+    let mut outputs = Vec::new();
+    let mut activity = Vec::new();
+    for (si, stimulus) in stimuli.iter().enumerate() {
+        let result = sim.run(stimulus);
+        outputs.push(result.wave(cell.output()).ok_or(si)?);
+        let per_t = cell
+            .transistor_ids()
+            .map(|(_, t)| {
+                let gate = result.wave(t.gate()).ok_or(si)?;
+                Ok(match t.kind() {
+                    MosKind::Nmos => gate,
+                    MosKind::Pmos => Wave::from_pair(!gate.initial(), !gate.final_value()),
+                })
+            })
+            .collect::<Result<Vec<Wave>, usize>>()?;
+        activity.push(per_t);
+    }
+    Ok((outputs, activity))
+}
+
+/// Asserts the packed activation equals the scalar waves, or fails on
+/// the same stimulus as they do; returns that stimulus.
+fn assert_activation_matches(cell: &Cell, stimuli: &[Stimulus]) -> Result<(), usize> {
+    match (Activation::extract(cell), scalar_waves(cell, stimuli)) {
+        (Ok(act), Ok((outputs, activity))) => {
+            assert_eq!(act.output_waves(), &outputs[..], "{}", cell.name());
+            for (si, per_t) in activity.iter().enumerate() {
+                let ids = cell.transistor_ids().map(|(id, _)| id);
+                for (t, &wave) in ids.zip(per_t) {
+                    assert_eq!(act.transistor_wave(si, t), wave, "{} at {si}", cell.name());
+                }
+            }
+            Ok(())
+        }
+        (Err(CoreError::GoldenNotBinary { stimulus, .. }), Err(want)) if stimulus == want => {
+            Err(want)
+        }
+        (got, want) => panic!("{}: packed {got:?}, scalar {want:?}", cell.name()),
+    }
+}
+
+/// Runs every stage of `cell` on both engines under `budget`, asserting
+/// they agree, and returns what the driver must report for the cell.
+fn expected(cell: &Cell, budget: &SimBudget) -> Expected {
+    if lint(cell).iter().any(|f| f.severity == Severity::Error) {
+        return Expected::Phase(FailurePhase::Lint);
+    }
+    let name = cell.name();
+    let stimuli = Stimulus::all(cell.num_inputs());
+    let clock = budget.start();
+    let packed = Golden::solve_checked(cell, stimuli.clone(), budget, &clock);
+    let scalar = scalar_preflight(cell, &stimuli, budget);
+    assert_eq!(
+        packed.as_ref().map(|_| ()).map_err(Clone::clone),
+        scalar,
+        "{name} pre-flight"
+    );
+    let golden = match packed {
+        Ok(golden) => golden,
+        Err(e) => return sim_failure(cell, FailurePhase::Golden, e),
+    };
+    let universe = DefectUniverse::intra_transistor(cell);
+    let policy = GenerateOptions::default().policy;
+    let table = DetectionTable::generate_budgeted(&golden, &universe, policy, budget, &clock);
+    let scalar = DetectionTable::generate_budgeted_scalar(
+        cell,
+        &universe,
+        &stimuli,
+        policy,
+        budget,
+        &budget.start(),
+    );
+    assert_eq!(table, scalar, "{name} table");
+    let table = match scalar {
+        Ok(budgeted) => budgeted.table,
+        Err(e) => return sim_failure(cell, FailurePhase::Characterize, e),
+    };
+    let activation = assert_activation_matches(cell, &stimuli);
+    if cell.outputs().len() != 1 {
+        return Expected::Phase(FailurePhase::Prepare);
+    }
+    Expected::Exactly(match activation {
+        Err(stimulus) => {
+            let cell = name.to_string();
+            let err = CoreError::GoldenNotBinary { cell, stimulus };
+            Verdict::Quarantined(FailurePhase::Prepare, err.to_string(), 0)
+        }
+        Ok(()) => Verdict::Model(to_cam(&CaModel {
+            defect_simulations: table.defect_simulations(),
+            ..CaModel::from_rows(cell, universe, table.rows().to_vec())
+        })),
+    })
+}
+
+/// Asserts every stage agrees with its scalar reference on every cell
+/// of `lib` under every budget, and that the driver at one and four
+/// threads reports what the references predict. Returns the verdicts
+/// per budget for corpus checks.
+fn assert_stages_agree(lib: &Library) -> Vec<BTreeMap<String, Verdict>> {
+    let mut per_budget = Vec::new();
     for budget in budgets() {
-        let scalar = verdicts(&run(lib, &budget, false, 1));
-        assert_eq!(scalar.len(), lib.len());
-        for (packed, threads) in [(true, 1), (true, 4), (false, 4)] {
-            let got = verdicts(&run(lib, &budget, packed, threads));
-            for (cell, want) in &scalar {
-                assert_eq!(
-                    got.get(cell),
-                    Some(want),
-                    "{cell} under {budget:?}: packed={packed} at {threads} threads \
-                     disagrees with the scalar pre-flight"
-                );
+        let verdicts = run(lib, &budget, 1);
+        assert_eq!(verdicts, run(lib, &budget, 4), "1 vs 4 threads, {budget:?}");
+        assert_eq!(verdicts.len(), lib.len());
+        for lc in &lib.cells {
+            let got = &verdicts[lc.cell.name()];
+            match expected(&lc.cell, &budget) {
+                Expected::Exactly(want) => assert_eq!(got, &want, "{budget:?}"),
+                Expected::Phase(phase) => assert!(
+                    matches!(got, Verdict::Quarantined(p, _, 0) if *p == phase),
+                    "{budget:?}: expected a {phase:?} quarantine, got {got:?}"
+                ),
             }
         }
-        reference.push(scalar);
+        per_budget.push(verdicts);
     }
-    reference
+    per_budget
 }
 
 fn quarantined_in(verdicts: &BTreeMap<String, Verdict>, phase: FailurePhase) -> usize {
@@ -150,7 +280,7 @@ fn oscillators() -> Library {
 
 #[test]
 fn packed_and_scalar_preflights_agree_on_salted_c28() {
-    let per_budget = assert_preflights_agree(&salted(Technology::C28));
+    let per_budget = assert_stages_agree(&salted(Technology::C28));
     // Unlimited: the salted oscillators fail the golden, the rest pass.
     let unlimited = &per_budget[3];
     assert!(quarantined_in(unlimited, FailurePhase::Golden) >= 2);
@@ -159,7 +289,7 @@ fn packed_and_scalar_preflights_agree_on_salted_c28() {
 
 #[test]
 fn packed_and_scalar_preflights_agree_on_salted_c40() {
-    let per_budget = assert_preflights_agree(&salted(Technology::C40));
+    let per_budget = assert_stages_agree(&salted(Technology::C40));
     // A one-iteration cap stops healthy cells in the golden too; the
     // zero wall clock stops every lint-clean cell there.
     assert!(quarantined_in(&per_budget[0], FailurePhase::Golden) > 2);
@@ -175,7 +305,7 @@ fn packed_and_scalar_preflights_agree_on_salted_c40() {
 #[test]
 fn packed_and_scalar_preflights_agree_on_oscillators() {
     let lib = oscillators();
-    let per_budget = assert_preflights_agree(&lib);
+    let per_budget = assert_stages_agree(&lib);
     let unlimited = &per_budget[3];
     assert_eq!(
         quarantined_in(unlimited, FailurePhase::Golden),

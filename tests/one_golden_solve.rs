@@ -10,7 +10,7 @@ use ca_defects::{CaModel, GenerateOptions};
 use ca_netlist::library::{generate_library, LibraryConfig};
 use ca_netlist::Technology;
 use ca_obs::Snapshot;
-use ca_sim::{set_packed_override, CellKernel, Golden, SimBudget, SimError, Stimulus};
+use ca_sim::{Golden, SimBudget, SimError, Stimulus};
 use std::time::Duration;
 
 fn counter(delta: &Snapshot, name: &str) -> u64 {
@@ -26,8 +26,6 @@ fn measured(f: impl FnOnce()) -> Snapshot {
 
 #[test]
 fn one_kernel_and_one_golden_solve_per_cell() {
-    // The packed path is under test whatever `CA_PACKED` says.
-    set_packed_override(Some(true));
     let options = GenerateOptions::default();
     let unlimited = SimBudget::unlimited();
 
@@ -54,15 +52,13 @@ fn one_kernel_and_one_golden_solve_per_cell() {
     let stats = cache.stats();
     assert!(stats.hits > 0 && stats.misses > 0, "{stats:?}");
     assert_eq!(counter(&delta, "ca_sim.kernel.compiled"), lib.len() as u64);
-    assert_eq!(counter(&delta, "ca_sim.kernel.fallback"), 0);
     assert_eq!(counter(&delta, "ca_sim.sim.checked_runs"), 0);
 
     // The table stage of an attempt whose clock ran out during the
     // pre-flight: it fails on that clock before any faulty block runs.
     let cell = &lib.cells[0].cell;
-    let kernel = CellKernel::compile(cell).expect("library cells compile");
     let stimuli = Stimulus::all(cell.num_inputs());
-    let golden = Golden::solve_checked(cell, kernel, stimuli, &unlimited, &unlimited.start())
+    let golden = Golden::solve_checked(cell, stimuli, &unlimited, &unlimited.start())
         .expect("the golden converges");
     let expired = SimBudget {
         wall_clock: Some(Duration::ZERO),
@@ -70,7 +66,7 @@ fn one_kernel_and_one_golden_solve_per_cell() {
     }
     .start();
     let delta = measured(|| {
-        let err = CaModel::generate_budgeted(cell, options, &unlimited, &expired, Some(&golden))
+        let err = CaModel::generate_budgeted(cell, options, &unlimited, &expired, &golden)
             .expect_err("the attempt's clock has run out");
         assert_eq!(
             err,
@@ -87,5 +83,4 @@ fn one_kernel_and_one_golden_solve_per_cell() {
     ] {
         assert_eq!(counter(&delta, name), 0, "{name}");
     }
-    set_packed_override(None);
 }

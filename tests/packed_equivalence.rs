@@ -1,24 +1,24 @@
 //! Differential fuzz: the packed bit-parallel engine vs. the scalar
-//! solver (DESIGN.md §12).
+//! reference solver (DESIGN.md §12).
 //!
-//! The packed path is only allowed to exist because it is bit-identical
-//! to the interpreted one. These tests drive both engines over a random
-//! synthesized corpus, `ca_netlist::corrupt` salted variants of it, and
-//! random defect injections, asserting identical `SimResult` values per
-//! lane, identical `SolveOutcome` classes, and identical detection
-//! rows. Generation is seeded through `ca-rng`, so every run exercises
-//! the same inputs (no flakiness).
+//! The packed engine is the only production simulation path because it
+//! is bit-identical to the scalar reference. These tests drive both
+//! over a random synthesized corpus, `ca_netlist::corrupt` salted
+//! variants of it, random defect injections and one very wide cell,
+//! asserting identical `SimResult` values per lane, identical
+//! `SolveOutcome` classes, and identical detection rows. Generation is
+//! seeded through `ca-rng`, so every run exercises the same inputs.
 
 use ca_rng::{Rng, SplitMix64};
 use cell_aware::defects::{DefectUniverse, DetectionTable};
 use cell_aware::netlist::synth::{
     synthesize, DriveStyle, NetlistStyle, Stage, StageExpr, StagePlan,
 };
-use cell_aware::netlist::{corrupt_cell, Cell, Corruption, NetId, Terminal, TransistorId};
+use cell_aware::netlist::{corrupt_cell, spice, Cell, Corruption, NetId, Terminal, TransistorId};
 use cell_aware::sim::packed::{PackedSim, PackedStimulus};
 use cell_aware::sim::{
-    detection_row, detection_row_scalar, set_packed_override, CellKernel, DetectionPolicy, Golden,
-    Injection, SimBudget, Simulator, Stimulus, Value,
+    detection_row, detection_row_scalar, CellKernel, DetectionPolicy, Golden, Injection, SimBudget,
+    SimError, Simulator, Stimulus, Value,
 };
 
 /// Number of random plans each property is checked against.
@@ -123,7 +123,7 @@ fn scalar_phases(cell: &Cell, injection: Injection, stimulus: &Stimulus) -> Vec<
 /// Asserts the packed engine reproduces every scalar net value of every
 /// phase, for every stimulus lane, under `injection`.
 fn assert_lanes_match(cell: &Cell, injection: Injection, stimuli: &[Stimulus]) {
-    let kernel = CellKernel::compile(cell).expect("corpus cells are within kernel limits");
+    let kernel = CellKernel::compile(cell);
     let packed = PackedStimulus::pack(cell.num_inputs(), stimuli);
     let sim = PackedSim::new(&kernel, injection, None);
     let mut si = 0;
@@ -144,8 +144,7 @@ fn assert_lanes_match(cell: &Cell, injection: Injection, stimuli: &[Stimulus]) {
 /// The packed table of `cell`: kernel compile, one golden solve, every
 /// defect of `universe` against it.
 fn packed_table(cell: &Cell, universe: &DefectUniverse, stimuli: &[Stimulus]) -> DetectionTable {
-    let kernel = CellKernel::compile(cell).expect("corpus cells are within kernel limits");
-    let golden = Golden::solve(kernel, stimuli.to_vec());
+    let golden = Golden::solve(cell, stimuli.to_vec());
     DetectionTable::generate_packed(&golden, universe, DetectionPolicy::default())
 }
 
@@ -203,8 +202,8 @@ fn lane_values_match_under_random_injections() {
     });
 }
 
-/// The public `detection_row` dispatcher (packed when allowed) agrees
-/// with the scalar reference row for random injections.
+/// The public (packed) `detection_row` agrees with the scalar reference
+/// row for random injections.
 #[test]
 fn detection_rows_match_per_injection() {
     let mut inj_rng = SplitMix64::new(47);
@@ -222,9 +221,18 @@ fn detection_rows_match_per_injection() {
     });
 }
 
+/// The scalar golden pre-flight: `try_run` over every stimulus in
+/// order.
+fn scalar_preflight(cell: &Cell, stimuli: &[Stimulus], budget: &SimBudget) -> Result<(), SimError> {
+    let sim = Simulator::with_budget(cell, Injection::None, budget);
+    stimuli.iter().try_for_each(|s| sim.try_run(s).map(drop))
+}
+
 /// Budgeted generation — including `SolveOutcome` error classes under a
-/// reduced iteration cap and truncation-degraded runs — is identical
-/// with the packed engine forced on and forced off.
+/// reduced iteration cap and truncation-degraded runs — is identical on
+/// the packed engine (checked golden, then the budgeted table) and on
+/// the scalar references (`try_run` pre-flight, then the scalar
+/// budgeted table).
 #[test]
 fn budgeted_outcomes_match_scalar_classes() {
     let budgets = [
@@ -239,6 +247,7 @@ fn budgeted_outcomes_match_scalar_classes() {
             ..SimBudget::unlimited()
         },
     ];
+    let policy = DetectionPolicy::default();
     let mut salt = SplitMix64::new(49);
     for_random_cells(48, |cell| {
         // The oscillator variant exercises the golden-oscillation error
@@ -251,29 +260,83 @@ fn budgeted_outcomes_match_scalar_classes() {
             let universe = DefectUniverse::intra_transistor(cell);
             let stimuli = Stimulus::all(cell.num_inputs());
             for budget in &budgets {
-                set_packed_override(Some(false));
-                let scalar = DetectionTable::generate_budgeted(
-                    cell,
-                    &universe,
-                    &stimuli,
-                    DetectionPolicy::default(),
-                    budget,
-                    &budget.start(),
-                    None,
+                let clock = budget.start();
+                let scalar = scalar_preflight(cell, &stimuli, budget).and_then(|()| {
+                    DetectionTable::generate_budgeted_scalar(
+                        cell, &universe, &stimuli, policy, budget, &clock,
+                    )
+                });
+                let packed = Golden::solve_checked(cell, stimuli.clone(), budget, &clock).and_then(
+                    |golden| {
+                        DetectionTable::generate_budgeted(
+                            &golden, &universe, policy, budget, &clock,
+                        )
+                    },
                 );
-                set_packed_override(Some(true));
-                let packed = DetectionTable::generate_budgeted(
-                    cell,
-                    &universe,
-                    &stimuli,
-                    DetectionPolicy::default(),
-                    budget,
-                    &budget.start(),
-                    None,
-                );
-                set_packed_override(None);
                 assert_eq!(packed, scalar, "cell {}", cell.name());
             }
         }
     });
+}
+
+/// Inverters on one input, each driving its own net, plus an output
+/// inverter on the first: `width + 4` nets, wide and shallow.
+fn wide_cell(width: usize) -> Cell {
+    let mut src = String::from(".SUBCKT WIDE A Z VDD VSS\n");
+    for i in 0..width {
+        src.push_str(&format!(
+            "MP{i} N{i} A VDD VDD pch\nMN{i} N{i} A VSS VSS nch\n"
+        ));
+    }
+    src.push_str("MPZ Z N0 VDD VDD pch\nMNZ Z N0 VSS VSS nch\n.ENDS\n");
+    spice::parse_cell(&src).expect("the wide cell parses")
+}
+
+/// A cell with more than 512 nets, far wider than any library cell,
+/// compiles and runs on the packed engine with the scalar reference's
+/// verdicts and rows.
+#[test]
+fn cells_beyond_the_old_kernel_envelope_match_scalar() {
+    let cell = wide_cell(520);
+    assert!(cell.nets().len() > 512, "{} nets", cell.nets().len());
+    let kernel = CellKernel::compile(&cell);
+    assert_eq!(kernel.n_nets(), cell.nets().len());
+    let stimuli = Stimulus::all(cell.num_inputs());
+    for cap in [Some(1), Some(2), None] {
+        let budget = SimBudget {
+            max_solver_iterations: cap,
+            ..SimBudget::unlimited()
+        };
+        let packed = Golden::solve_checked(&cell, stimuli.clone(), &budget, &budget.start());
+        let scalar = scalar_preflight(&cell, &stimuli, &budget);
+        assert_eq!(packed.map(drop), scalar, "cap {cap:?}");
+    }
+    let t = |name: &str| cell.find_transistor(name).expect("named device");
+    let n = |name: &str| cell.find_net(name).expect("named net");
+    let policy = DetectionPolicy::default();
+    for injection in [
+        Injection::Open {
+            transistor: t("MN0"),
+            terminal: Terminal::Drain,
+        },
+        Injection::Short {
+            transistor: t("MPZ"),
+            a: Terminal::Drain,
+            b: Terminal::Source,
+        },
+        Injection::NetShort {
+            a: n("N0"),
+            b: n("VSS"),
+        },
+        Injection::Open {
+            transistor: t("MP300"),
+            terminal: Terminal::Gate,
+        },
+    ] {
+        assert_eq!(
+            detection_row(&cell, injection, &stimuli, policy),
+            detection_row_scalar(&cell, injection, &stimuli, policy),
+            "{injection}"
+        );
+    }
 }
